@@ -184,12 +184,10 @@ fn run(args: &[String]) -> Result<(), SbpError> {
         if let Some(threads) = manifest.window_threads {
             sbp_sweep::set_window_threads(threads);
         }
-        if options.profile {
-            sbp_sim::profile::set_enabled(true);
-        }
         // The in-process runner is lane 0 with no sidecar file: its
         // events collect in the sink and merge at the end, exactly like
-        // the coordinator's control lane.
+        // the coordinator's control lane. `--profile` reads its phase
+        // spans from the same sink.
         let telemetry_on = telemetry_enabled(&manifest, &options);
         if telemetry_on {
             std::fs::create_dir_all(&manifest.out_dir).map_err(|e| {
@@ -198,6 +196,8 @@ fn run(args: &[String]) -> Result<(), SbpError> {
                     manifest.out_dir.display()
                 ))
             })?;
+        }
+        if telemetry_on || options.profile {
             sbp_telemetry::enable("", 0, None);
         }
         let mut verdicts = Vec::new();
@@ -206,9 +206,6 @@ fn run(args: &[String]) -> Result<(), SbpError> {
                 "campaign[{}]: {} — in-process reference run",
                 entry.name, entry.artifact
             );
-            if options.profile {
-                sbp_sim::profile::reset();
-            }
             sbp_telemetry::set_entry(entry.name);
             let entry_span = sbp_telemetry::control_span("entry", entry.name);
             let report = spec.run()?;
@@ -217,7 +214,7 @@ fn run(args: &[String]) -> Result<(), SbpError> {
                 eprintln!(
                     "campaign[{}] profile: {}",
                     entry.name,
-                    sbp_sim::profile::snapshot().to_line()
+                    sbp_campaign::profile_line(&sbp_telemetry::events(), entry.name)
                 );
             }
             print!("{}", report.to_table());
@@ -228,6 +225,7 @@ fn run(args: &[String]) -> Result<(), SbpError> {
         if telemetry_on {
             finalize_telemetry(&manifest, options.trace_out.as_deref(), false)?;
         }
+        sbp_telemetry::disable();
         summarize_verdicts(&verdicts)
     } else {
         let exe = std::env::current_exe()

@@ -51,5 +51,5 @@ pub use coordinator::{
 pub use expect::{check_entry, maybe_perturbed, Expectation, VerdictTable, PERTURB_ENV};
 pub use manifest::{parse_gap_mode, Manifest};
 pub use recorder::{record_entry, record_spec, verify_entry, verify_spec, TraceOptions};
-pub use report::run_report;
+pub use report::{profile_line, run_report};
 pub use worker::{run_worker, WorkerArgs, DIE_AFTER_ENV, DIE_EXIT_CODE, STALL_AFTER_ENV};

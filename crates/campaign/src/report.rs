@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use sbp_telemetry::Kind;
+use sbp_telemetry::{Event, Kind};
 use sbp_types::SbpError;
 
 /// The wall-clock phase spans recovered from the timeline, in the same
@@ -62,6 +62,24 @@ impl EntryStats {
             None
         }
     }
+}
+
+/// The `--profile` line for `entry`: wall seconds per phase, summed
+/// from the advisory phase spans the simulators emit into the telemetry
+/// sink (warm / gaps / steady windows / event windows / exact measure).
+pub fn profile_line(events: &[Event], entry: &str) -> String {
+    let secs = PHASES.map(|phase| {
+        let ends = events.iter().filter(|e| {
+            e.kind == Kind::End && e.job.is_some() && e.entry == entry && e.name == phase
+        });
+        ends.fold(0.0, |total, e| total + e.value / 1e6)
+    });
+    let [warm, gap, steady, event, measure] = secs;
+    format!(
+        "warm {warm:.2}s, gaps {gap:.2}s, steady windows {steady:.2}s, event windows {event:.2}s, \
+         exact measure {measure:.2}s (phases total {:.2}s)",
+        warm + gap + steady + event + measure,
+    )
 }
 
 /// Hit rate as `" 87%"`, `"   -"` when the cache saw no lookups.
@@ -194,7 +212,6 @@ pub fn run_report(out_dir: &Path) -> Result<(), SbpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbp_telemetry::Event;
 
     #[test]
     fn report_demands_a_timeline() {

@@ -63,8 +63,9 @@ pub struct WorkerArgs {
     /// leaves the `SBP_WINDOW_THREADS` environment default.
     pub window_threads: Option<usize>,
     /// Print this shard's wall-time phase breakdown (warm / gaps /
-    /// steady / event / exact measure) to stderr after the run
-    /// (forwarded from the campaign's `--profile`).
+    /// steady / event / exact measure), summed from the telemetry
+    /// sink's phase spans, to stderr after the run (forwarded from the
+    /// campaign's `--profile`).
     pub profile: bool,
     /// Sidecar telemetry stream this worker appends its structured
     /// events to (forwarded by the coordinator as `--telemetry PATH`);
@@ -93,13 +94,12 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), SbpError> {
     if let Some(n) = args.window_threads {
         sbp_sweep::set_window_threads(n);
     }
-    if args.profile {
-        sbp_sim::profile::set_enabled(true);
-        sbp_sim::profile::reset();
-    }
-    if let Some(path) = &args.telemetry {
-        // Worker lanes are 1-based; lane 0 is the coordinator's.
-        sbp_telemetry::enable(&args.entry, args.shard.index as u32 + 1, Some(path));
+    if args.telemetry.is_some() || args.profile {
+        // Worker lanes are 1-based; lane 0 is the coordinator's. A
+        // profile-only run collects its phase spans in memory, with no
+        // sidecar.
+        let lane = args.shard.index as u32 + 1;
+        sbp_telemetry::enable(&args.entry, lane, args.telemetry.as_deref());
     }
     if let Some(after) = fault_knob(DIE_AFTER_ENV)? {
         return run_fault_injected(&spec, args, after, FaultMode::Die);
@@ -111,24 +111,25 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), SbpError> {
         store: Some(args.store.clone()),
         shard: Some(args.shard),
     })?;
-    sbp_telemetry::disable();
-    if args.profile {
-        print_profile(args);
-    }
+    close_telemetry(args);
     print_summary(args, outcome.executed, outcome.skipped, outcome.pending);
     Ok(())
 }
 
-/// Prints this shard's wall-time phase breakdown to stderr (stdout stays
-/// byte-comparable between profiled and unprofiled runs).
-fn print_profile(args: &WorkerArgs) {
-    eprintln!(
-        "worker[{}] shard {}/{} profile: {}",
-        args.entry,
-        args.shard.index + 1,
-        args.shard.count,
-        sbp_sim::profile::snapshot().to_line(),
-    );
+/// Disables the sink, first printing this shard's wall-time phase
+/// breakdown to stderr under `--profile` (stdout stays byte-comparable
+/// between profiled and unprofiled runs).
+fn close_telemetry(args: &WorkerArgs) {
+    if args.profile {
+        eprintln!(
+            "worker[{}] shard {}/{} profile: {}",
+            args.entry,
+            args.shard.index + 1,
+            args.shard.count,
+            crate::report::profile_line(&sbp_telemetry::take_events(), &args.entry),
+        );
+    }
+    sbp_telemetry::disable();
 }
 
 /// Parses one numeric fault-injection variable, `None` when unset.
@@ -204,10 +205,7 @@ fn run_fault_injected(
         }
     }
     let pending = fps.iter().filter(|fp| store.get(**fp).is_none()).count();
-    sbp_telemetry::disable();
-    if args.profile {
-        print_profile(args);
-    }
+    close_telemetry(args);
     print_summary(args, executed, skipped, pending);
     Ok(())
 }

@@ -497,3 +497,91 @@ fn list_mode_prints_the_whole_catalog() {
         assert!(text.contains(entry.name), "missing {}", entry.name);
     }
 }
+
+/// Parses the `gaps`, `steady windows` and `event windows` seconds out of
+/// every `profile:` line on stderr.
+fn profiled_phase_seconds(stderr: &str) -> Vec<[f64; 3]> {
+    let secs = |line: &str, label: &str| -> f64 {
+        let rest = &line[line.find(label).expect("phase label") + label.len()..];
+        let value = rest.trim_start().split('s').next().expect("seconds");
+        value.parse().expect("numeric seconds")
+    };
+    stderr
+        .lines()
+        .filter(|line| line.contains(" profile: warm "))
+        .map(|line| {
+            [
+                secs(line, "gaps"),
+                secs(line, "steady windows"),
+                secs(line, "event windows"),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn profile_is_a_telemetry_view_that_changes_no_output() {
+    let dir = tmp_dir("profile");
+    let run = |name: &str, telemetry: bool, profile: bool| {
+        let stores = dir.join(name);
+        let manifest = dir.join(format!("{name}.json"));
+        std::fs::write(
+            &manifest,
+            format!(
+                r#"{{"entries":["smoke_single"],"workers":1,"scale":0.2,"sampling":true,
+                    "gap_mode":"functional","telemetry":{telemetry},"out_dir":"{}"}}"#,
+                stores.display()
+            ),
+        )
+        .expect("write manifest");
+        let mut args = vec![manifest.to_str().expect("utf8").to_string()];
+        if profile {
+            args.insert(0, "--profile".to_string());
+        }
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = campaign(&args, None);
+        assert!(out.status.success(), "{}", stderr_of(&out));
+        let store = std::fs::read(stores.join("smoke_single.jsonl")).expect("canonical store");
+        (out, stores, store)
+    };
+    let (plain, _, plain_store) = run("plain", false, false);
+    let (profiled, _, profiled_store) = run("profiled", false, true);
+    let (traced, traced_dir, traced_store) = run("traced", true, false);
+    let (both, both_dir, both_store) = run("both", true, true);
+
+    for (label, out, store) in [
+        ("--profile", &profiled, &profiled_store),
+        ("--telemetry", &traced, &traced_store),
+        ("--profile --telemetry", &both, &both_store),
+    ] {
+        assert_eq!(stdout_of(out), stdout_of(&plain), "{label} changed stdout");
+        assert_eq!(store, &plain_store, "{label} changed the canonical store");
+    }
+    for out in [&plain, &traced] {
+        assert!(profiled_phase_seconds(&stderr_of(out)).is_empty());
+    }
+    for out in [&profiled, &both] {
+        let lines = profiled_phase_seconds(&stderr_of(out));
+        assert_eq!(lines.len(), 1, "{}", stderr_of(out));
+        assert!(
+            lines[0].iter().all(|s| *s > 0.0),
+            "gaps, steady and event windows all take time: {}",
+            stderr_of(out)
+        );
+    }
+    // Profiling only reads the advisory phase spans: the sidecar's
+    // deterministic projection is the same with and without it.
+    let projection = |stores: &Path| -> Vec<String> {
+        let sidecar = stores.join("smoke_single.telemetry.shard1of1.jsonl");
+        let events = sbp_telemetry::read_events(&sidecar).expect("sidecar readable");
+        sbp_telemetry::canonical_projection(&events)
+            .iter()
+            .map(sbp_telemetry::Event::to_line)
+            .collect()
+    };
+    let traced_projection = projection(&traced_dir);
+    assert!(!traced_projection.is_empty());
+    assert_eq!(projection(&both_dir), traced_projection);
+
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

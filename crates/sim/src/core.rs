@@ -8,14 +8,12 @@
 use sbp_core::{FrontendConfig, Mechanism, SecureFrontend};
 use sbp_predictors::PredictorKind;
 use sbp_trace::{
-    EventBuffer, EventSource, PhaseSchedule, TraceEvent, TraceGenerator, TraceReplayer,
-    WorkloadProfile,
+    EventBuffer, EventSource, TraceEvent, TraceGenerator, TraceReplayer, WorkloadProfile,
 };
 use sbp_types::{CoreEvent, PredictionStats, SbpError, ThreadId};
 
 use crate::config::{CoreConfig, SwitchInterval};
-use crate::profile::{self, Phase};
-use crate::sampling::{GapMode, SampledMeasurement, SamplingPlan};
+use crate::sampling::{ForcedSwitch, SampledMeasurement, SampledSim, SamplingPlan, WindowRun};
 use crate::timing::{execute_branch, execute_branch_scalar, train_branch};
 
 /// One software context scheduled on the core.
@@ -275,20 +273,20 @@ impl SingleCoreSim {
     /// ([`Self::try_clone`]) and fan one warm-up out across the
     /// interval axis or a sampling plan.
     pub fn warm(&mut self, warmup: u64) {
-        profile::time(Phase::Warm, || self.run_phase(warmup, false));
+        let _span = sbp_telemetry::span("warm", false, "");
+        self.run_phase(warmup, false);
     }
 
     /// The measurement phase of [`Self::run_target`]: resets the target's
     /// statistics and measures `measure` further target branches.
     /// `warm(w); run_measure(m)` is bit-identical to `run_target(w, m)`.
     pub fn run_measure(&mut self, measure: u64) -> PredictionStats {
-        profile::time(Phase::Measure, || {
-            self.contexts[0].stats = PredictionStats::new();
-            let target_cycles = self.run_phase(measure, true);
-            let mut stats = self.contexts[0].stats;
-            stats.cycles = target_cycles as u64;
-            stats
-        })
+        let _span = sbp_telemetry::span("measure", false, "");
+        self.contexts[0].stats = PredictionStats::new();
+        let target_cycles = self.run_phase(measure, true);
+        let mut stats = self.contexts[0].stats;
+        stats.cycles = target_cycles as u64;
+        stats
     }
 
     /// [`Self::run_target`] through the pre-batching reference loop: one
@@ -375,256 +373,24 @@ impl SingleCoreSim {
     }
 
     /// Runs a sampled measurement from the current (warm) state: the
-    /// plan's steady windows, then its forced-switch event windows. See
-    /// [`crate::sampling`] for the estimator the windows feed.
-    ///
-    /// The natural timer is disabled for the remainder of this
-    /// simulator's life — switches are *forced* at the event windows and
-    /// weighted analytically per interval — which is what makes one
-    /// sampled run valid for every interval.
+    /// plan's steady windows, then its forced-switch event windows (see
+    /// [`SampledSim`] for the driver and [`crate::sampling`] for the
+    /// estimator the windows feed). Disables the natural timer for the
+    /// rest of this simulator's life.
     pub fn run_sampled(&mut self, plan: &SamplingPlan) -> SampledMeasurement {
-        self.interval = u64::MAX;
-        self.next_switch = f64::INFINITY;
-        let mut steady_cycles = Vec::with_capacity(plan.steady_windows as usize);
-        let mut agg = PredictionStats::new();
-        for _ in 0..plan.steady_windows {
-            let (cycles, w) = self.sampled_steady_window(plan);
-            agg += w;
-            steady_cycles.push(cycles);
-        }
-        let mut event_cycles = Vec::with_capacity(plan.event_windows as usize);
-        for _ in 0..plan.event_windows {
-            event_cycles.push(self.sampled_event_window(plan));
-        }
-        SampledMeasurement {
-            steady_cycles,
-            steady_units: plan.window,
-            event_cycles,
-            event_units: plan.event_window,
-            stats: agg,
-            per_thread: Vec::new(),
-            threads: 1,
-            steady_weights: Vec::new(),
-        }
+        let schedule = self.schedule(plan, None);
+        self.run_schedule(&schedule)
     }
 
-    /// Runs a *phase-clustered* sampled measurement from the current
-    /// (warm) state: instead of the plan's evenly spaced steady windows,
-    /// the steady windows are the schedule's representative intervals
-    /// (SimPoint-style, see [`sbp_trace::phases`]), each carrying its
-    /// phase's population weight into the stratified estimator. Event
-    /// windows still come from the plan, exactly as in
-    /// [`Self::run_sampled`].
-    ///
-    /// `schedule` indexes the **target's** branch stream with origin at
-    /// the current cursor — i.e. it must have been clustered with a
-    /// `skip` equal to the warm-up this simulator just ran.
-    ///
-    /// The gap strategy honours the plan's [`GapMode`]: fast-forward
-    /// skips to `rewarm` branches before each window and re-warms timed;
-    /// functional executes every gap through the timing-free trainer.
-    pub fn run_phased(
-        &mut self,
-        plan: &SamplingPlan,
-        schedule: &PhaseSchedule,
-    ) -> SampledMeasurement {
-        self.interval = u64::MAX;
-        self.next_switch = f64::INFINITY;
-        let mut steady_cycles = Vec::with_capacity(schedule.picks.len());
-        let mut steady_weights = Vec::with_capacity(schedule.picks.len());
-        let mut agg = PredictionStats::new();
-        // Target branches consumed since the schedule origin (the warm
-        // state this method starts from).
-        let mut pos = 0u64;
-        for pick in &schedule.picks {
-            let start = pick.index * schedule.interval;
-            debug_assert!(start >= pos, "picks must ascend");
-            let gap = start - pos;
-            profile::time(Phase::Gap, || match plan.gap_mode {
-                GapMode::FastForward => {
-                    let rewarm = plan.rewarm.min(gap);
-                    self.skip_target(gap - rewarm);
-                    self.run_phase(rewarm, false);
-                }
-                GapMode::Functional => {
-                    self.train_context_branches(gap);
-                }
-            });
-            let (cycles, w) = profile::time(Phase::Steady, || {
-                self.contexts[0].stats = PredictionStats::new();
-                let cycles = self.run_phase(schedule.interval, true);
-                let mut w = self.contexts[0].stats;
-                w.cycles = cycles as u64;
-                (cycles, w)
-            });
-            agg += w;
-            steady_cycles.push(cycles);
-            steady_weights.push(pick.weight);
-            pos = start + schedule.interval;
-        }
-        let mut event_cycles = Vec::with_capacity(plan.event_windows as usize);
-        for _ in 0..plan.event_windows {
-            event_cycles.push(self.sampled_event_window(plan));
-        }
-        SampledMeasurement {
-            steady_cycles,
-            steady_units: schedule.interval,
-            event_cycles,
-            event_units: plan.event_window,
-            stats: agg,
-            per_thread: Vec::new(),
-            threads: 1,
-            steady_weights,
-        }
-    }
-
-    /// Runs only measurement window `index` (`0..plan.total_windows()`,
-    /// steady windows first) of the sampled schedule from the current
-    /// (warm) state, returning its measured cycles and — for steady
-    /// windows — its window statistics.
-    ///
-    /// Every region before the requested window is replayed
-    /// *functionally*: gaps, rewarm, forced-switch bursts **and the
-    /// earlier measured windows themselves** execute through the
-    /// timing-free path, which leaves predictor/BTB/generator state
-    /// bit-identical to the serial [`Self::run_sampled`] at the window's
-    /// opening (per-step cycle deltas are pure functions of that state,
-    /// so the measured window then reproduces the serial numbers
-    /// exactly). This is the unit of intra-worker window parallelism:
-    /// `N` clones of one warm checkpoint each run one window, and the
-    /// reassembled measurement equals the serial one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn run_sampled_window(
-        &mut self,
-        plan: &SamplingPlan,
-        index: u32,
-    ) -> (f64, PredictionStats) {
-        assert!(index < plan.total_windows(), "window index out of range");
-        self.interval = u64::MAX;
-        self.next_switch = f64::INFINITY;
-        for _ in 0..index.min(plan.steady_windows) {
-            self.replay_gap(plan);
-            self.train_context_branches(plan.window);
-        }
-        if index < plan.steady_windows {
-            return self.sampled_steady_window(plan);
-        }
-        for _ in 0..(index - plan.steady_windows) {
-            self.replay_gap(plan);
-            self.forced_switch_burst(plan, true);
-            self.train_context_branches(plan.event_window);
-        }
-        let cycles = self.sampled_event_window(plan);
-        (cycles, self.contexts[0].stats)
-    }
-
-    /// One steady window of the sampled schedule: gap advance, stats
-    /// reset, measured window. Shared by [`Self::run_sampled`] and
-    /// [`Self::run_sampled_window`] so the two cannot drift.
-    fn sampled_steady_window(&mut self, plan: &SamplingPlan) -> (f64, PredictionStats) {
-        self.advance_gap(plan);
-        profile::time(Phase::Steady, || {
-            self.contexts[0].stats = PredictionStats::new();
-            let cycles = self.run_phase(plan.window, true);
-            let mut w = self.contexts[0].stats;
-            w.cycles = cycles as u64;
-            (cycles, w)
-        })
-    }
-
-    /// One forced-switch event window of the sampled schedule.
-    fn sampled_event_window(&mut self, plan: &SamplingPlan) -> f64 {
-        self.advance_gap(plan);
-        profile::time(Phase::Event, || {
-            // Forced switch pair: target → background(s) → target, with a
-            // burst of background execution in between to model the other
-            // context's table pollution. The resume switch overhead is
-            // charged to the target, as the exact loop attributes it.
-            self.forced_switch_burst(plan, plan.gap_mode == GapMode::Functional);
-            self.contexts[0].stats = PredictionStats::new();
-            self.cfg.context_switch_overhead as f64 + self.run_phase(plan.event_window, true)
-        })
-    }
-
-    /// The forced-switch pair with its background burst. `functional`
-    /// selects the timing-free burst executor (state-identical; the
-    /// burst is unmeasured either way).
-    fn forced_switch_burst(&mut self, plan: &SamplingPlan, functional: bool) {
-        self.context_switch();
-        while self.current != 0 {
-            if functional {
-                self.train_context_branches(plan.burst);
-            } else {
-                self.run_context_branches(plan.burst);
-            }
-            self.context_switch();
-        }
-    }
-
-    /// Advances past one gap region per the plan's [`GapMode`].
-    ///
-    /// Fast-forward: generation-only skip, then a timed (unmeasured)
-    /// rewarm re-synchronising the stale predictor. Functional: the gap
-    /// and rewarm execute through the timing-free trainer — predictor
-    /// state never goes stale, so hybrid plans set `rewarm` to 0 and the
-    /// fold is exact.
-    fn advance_gap(&mut self, plan: &SamplingPlan) {
-        profile::time(Phase::Gap, || match plan.gap_mode {
-            GapMode::FastForward => {
-                self.skip_target(plan.gap);
-                self.run_phase(plan.rewarm, false);
-            }
-            GapMode::Functional => {
-                self.train_context_branches(plan.gap + plan.rewarm);
-            }
-        })
-    }
-
-    /// [`Self::advance_gap`] for prefix replay in
-    /// [`Self::run_sampled_window`]: the fast-forward rewarm runs
-    /// functionally instead of timed (state-identical, cheaper — the
-    /// replay needs no clock).
-    fn replay_gap(&mut self, plan: &SamplingPlan) {
-        profile::time(Phase::Gap, || match plan.gap_mode {
-            GapMode::FastForward => {
-                self.skip_target(plan.gap);
-                self.train_context_branches(plan.rewarm);
-            }
-            GapMode::Functional => {
-                self.train_context_branches(plan.gap + plan.rewarm);
-            }
-        })
-    }
-
-    /// Fast-forwards the target's stream past `branches` branch events
-    /// without executing them: buffered events are drained, then the
-    /// generator advances generation-only (same RNG draws as executing).
-    /// The clock is left untouched; predictor state goes stale by design
-    /// and is re-synchronised by the plan's rewarm phase.
-    fn skip_target(&mut self, branches: u64) {
-        if branches == 0 {
-            return;
-        }
-        let ctx = &mut self.contexts[0];
-        let mut left = branches;
-        while left > 0 {
-            match ctx.buf.pop() {
-                Some(TraceEvent::Branch(_)) => left -= 1,
-                Some(TraceEvent::PrivilegeSwitch(_)) => {}
-                None => break,
-            }
-        }
-        if left > 0 {
-            ctx.gen.skip_branches(left);
-        }
-    }
-
-    /// Executes `branches` branch events of the *current* context
-    /// (unmeasured) — the background burst between a forced switch pair.
-    fn run_context_branches(&mut self, branches: u64) {
+    /// Executes `branches` branch events of the *current* context,
+    /// unmeasured: the background burst between a forced switch pair
+    /// (`TIMED`), or a gap through the functional path (`!TIMED`), where
+    /// predictor, BTB, RAS and key state mutate bit-identically to timed
+    /// execution (see [`train_branch`]) while the clock and all
+    /// statistics stay untouched. Privilege switches always reach the
+    /// front-end — the Noisy-XOR family rekeys on them — but their trap
+    /// overhead is timing bookkeeping.
+    fn run_context_branches<const TIMED: bool>(&mut self, branches: u64) {
         let hw = ThreadId::new(0);
         let idx = self.current;
         let cfg = &self.cfg;
@@ -637,43 +403,19 @@ impl SingleCoreSim {
             }
             match ctx.buf.pop().expect("buffer was just filled") {
                 TraceEvent::Branch(rec) => {
-                    self.clock += execute_branch(fe, cfg, hw, &rec, &mut ctx.stats);
+                    if TIMED {
+                        self.clock += execute_branch(fe, cfg, hw, &rec, &mut ctx.stats);
+                    } else {
+                        train_branch(fe, cfg, hw, &rec);
+                    }
                     done += 1;
                 }
                 TraceEvent::PrivilegeSwitch(to) => {
                     fe.handle_event(CoreEvent::PrivilegeSwitch { hw_thread: hw, to });
-                    ctx.stats.privilege_switches += 1;
-                    self.clock += cfg.trap_overhead as f64;
-                }
-            }
-        }
-    }
-
-    /// Executes `branches` branch events of the *current* context through
-    /// the functional (timing-free) path: predictor, BTB, RAS and key
-    /// state mutate bit-identically to timed execution (see
-    /// [`train_branch`]) while the clock and all statistics stay
-    /// untouched. Privilege switches still reach the front-end — the
-    /// Noisy-XOR family rekeys on them — but their trap overhead is
-    /// timing bookkeeping and is skipped.
-    fn train_context_branches(&mut self, branches: u64) {
-        let hw = ThreadId::new(0);
-        let idx = self.current;
-        let cfg = &self.cfg;
-        let fe = &mut self.fe;
-        let ctx = &mut self.contexts[idx];
-        let mut done = 0u64;
-        while done < branches {
-            if ctx.buf.is_empty() {
-                ctx.gen.fill(&mut ctx.buf);
-            }
-            match ctx.buf.pop().expect("buffer was just filled") {
-                TraceEvent::Branch(rec) => {
-                    train_branch(fe, cfg, hw, &rec);
-                    done += 1;
-                }
-                TraceEvent::PrivilegeSwitch(to) => {
-                    fe.handle_event(CoreEvent::PrivilegeSwitch { hw_thread: hw, to });
+                    if TIMED {
+                        ctx.stats.privilege_switches += 1;
+                        self.clock += cfg.trap_overhead as f64;
+                    }
                 }
             }
         }
@@ -712,6 +454,78 @@ impl SingleCoreSim {
     /// Global clock in cycles.
     pub fn clock(&self) -> f64 {
         self.clock
+    }
+}
+
+/// Units are target branches; background contexts run only inside
+/// forced-switch bursts.
+impl SampledSim for SingleCoreSim {
+    fn timer_threads(&self) -> u32 {
+        1
+    }
+
+    fn disable_timers(&mut self) {
+        self.interval = u64::MAX;
+        self.next_switch = f64::INFINITY;
+    }
+
+    /// Drains buffered events, then advances the target's generator
+    /// generation-only (same RNG draws as executing).
+    fn skip(&mut self, branches: u64) {
+        let ctx = &mut self.contexts[0];
+        let mut left = branches;
+        while left > 0 {
+            match ctx.buf.pop() {
+                Some(TraceEvent::Branch(_)) => left -= 1,
+                Some(TraceEvent::PrivilegeSwitch(_)) => {}
+                None => break,
+            }
+        }
+        if left > 0 {
+            ctx.gen.skip_branches(left);
+        }
+    }
+
+    /// Runs the *current* context: the target, except inside a forced
+    /// switch's burst.
+    fn advance(&mut self, branches: u64, functional: bool) {
+        if functional {
+            self.run_context_branches::<false>(branches);
+        } else {
+            self.run_context_branches::<true>(branches);
+        }
+    }
+
+    /// The switch pair target → background(s) → target, with `burst`
+    /// background branches in between modelling the other context's
+    /// table pollution.
+    fn force_switch(&mut self, switch: ForcedSwitch) {
+        self.context_switch();
+        while self.current != 0 {
+            self.advance(switch.burst, switch.functional);
+            self.context_switch();
+        }
+    }
+
+    /// An event window charges the resume switch overhead to the target,
+    /// as the exact loop attributes it.
+    fn measure(&mut self, branches: u64, switch: Option<ForcedSwitch>) -> WindowRun {
+        let overhead = match switch {
+            Some(switch) => {
+                self.force_switch(switch);
+                self.cfg.context_switch_overhead as f64
+            }
+            None => 0.0,
+        };
+        self.contexts[0].stats = PredictionStats::new();
+        let cycles = overhead + self.run_phase(branches, true);
+        let mut stats = self.contexts[0].stats;
+        stats.cycles = cycles as u64;
+        WindowRun {
+            cycles,
+            stats: vec![stats],
+            thread_cycles: Vec::new(),
+        }
     }
 }
 
@@ -927,7 +741,7 @@ mod tests {
             timed.warm(5_000);
             functional.warm(5_000);
             timed.run_phase(12_000, false);
-            functional.train_context_branches(12_000);
+            functional.run_context_branches::<false>(12_000);
             let a = timed.run_measure(20_000);
             let b = functional.run_measure(20_000);
             assert_eq!(a, b, "functional gap diverged under {mech:?}");
@@ -962,18 +776,20 @@ mod tests {
             warm.warm(4_000);
             let mut serial = warm.try_clone().expect("clone");
             let m = serial.run_sampled(&plan);
+            let schedule = warm.schedule(&plan, None);
             let mut agg = PredictionStats::new();
-            for index in 0..plan.total_windows() {
+            for index in 0..schedule.windows.len() {
                 let mut solo = warm.try_clone().expect("clone");
-                let (cycles, stats) = solo.run_sampled_window(&plan, index);
-                if index < plan.steady_windows {
-                    let want = m.steady_cycles[index as usize];
-                    assert_eq!(cycles.to_bits(), want.to_bits(), "steady {index}");
-                    assert_eq!(stats.cycles, want as u64);
-                    agg += stats;
+                let run = solo.run_window(&schedule, index);
+                let steady = plan.steady_windows as usize;
+                if index < steady {
+                    let want = m.steady_cycles[index];
+                    assert_eq!(run.cycles.to_bits(), want.to_bits(), "steady {index}");
+                    assert_eq!(run.stats[0].cycles, want as u64);
+                    agg += run.stats[0];
                 } else {
-                    let want = m.event_cycles[(index - plan.steady_windows) as usize];
-                    assert_eq!(cycles.to_bits(), want.to_bits(), "event {index}");
+                    let want = m.event_cycles[index - steady];
+                    assert_eq!(run.cycles.to_bits(), want.to_bits(), "event {index}");
                 }
             }
             assert_eq!(agg, m.stats, "reassembled steady stats");

@@ -40,7 +40,6 @@
 pub mod config;
 pub mod core;
 pub mod experiment;
-pub mod profile;
 pub mod sampling;
 pub mod smt;
 pub mod timing;
@@ -48,6 +47,9 @@ pub mod timing;
 pub use config::{CoreConfig, SwitchInterval};
 pub use core::SingleCoreSim;
 pub use experiment::{run_single_case, run_smt, scale, single_overhead, smt_overhead, WorkBudget};
-pub use sampling::{estimate_cycles, GapMode, SampledEstimate, SampledMeasurement, SamplingPlan};
+pub use sampling::{
+    estimate_cycles, GapMode, SampledEstimate, SampledMeasurement, SampledSim, SamplingPlan,
+    WindowSchedule,
+};
 pub use smt::{SmtResult, SmtSim};
 pub use timing::{execute_branch, execute_branch_scalar, train_branch, train_branch_clocked};

@@ -33,10 +33,19 @@
 //! The estimator propagates a standard error from the per-window spread
 //! via the delta method; reports carry it so tolerance checks can see
 //! the sampling uncertainty. The exact path remains the reference:
-//! sampling is opt-in per sweep spec and never used by golden tests.
+//! sampling is opt-in per sweep spec.
+//!
+//! Both simulators run the measurement through one driver: a plan (plus
+//! an optional phase-clustered [`PhaseSchedule`]) becomes one ordered
+//! [`WindowSchedule`], and [`SampledSim`] walks it over the simulator's
+//! own stepping loops — measuring every window ([`SampledSim::run_schedule`])
+//! or only window *i* after a functional replay of its prefix
+//! ([`SampledSim::run_window`], the unit of window parallelism). Either
+//! way [`WindowSchedule::assemble`] builds the [`SampledMeasurement`].
 
 use serde::{Deserialize, Serialize};
 
+use sbp_trace::PhaseSchedule;
 use sbp_types::{PredictionStats, SbpError};
 
 use crate::config::SwitchInterval;
@@ -242,12 +251,6 @@ impl SamplingPlan {
         )
     }
 
-    /// Total measurement windows (steady + event): the unit of
-    /// intra-worker window parallelism.
-    pub fn total_windows(&self) -> u32 {
-        self.steady_windows + self.event_windows
-    }
-
     /// Checks the plan is executable.
     ///
     /// # Errors
@@ -282,8 +285,7 @@ fn scaled(value: u64, s: f64, min: u64) -> u64 {
 
 /// Raw per-window measurements from a sampled run, before any weighting.
 ///
-/// Produced by `SingleCoreSim::run_sampled` / `SmtSim::run_sampled`;
-/// interval-independent (the forced-switch windows measure the storm
+/// Built by [`WindowSchedule::assemble`]; interval-independent (the forced-switch windows measure the storm
 /// itself, and the interval enters only in [`estimate_cycles`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledMeasurement {
@@ -311,6 +313,286 @@ pub struct SampledMeasurement {
     /// weight — the estimator reproduces the legacy unweighted
     /// arithmetic bit-for-bit in that case.
     pub steady_weights: Vec<f64>,
+}
+
+/// What one scheduled window measures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WindowKind {
+    /// A steady-state window.
+    Steady {
+        /// Work units measured.
+        len: u64,
+        /// Phase-population weight, `None` on the uniform schedule.
+        weight: Option<f64>,
+    },
+    /// A window opened by a forced context switch.
+    Event {
+        /// Work units measured after the switch.
+        len: u64,
+        /// Hardware thread whose timer event fires (0 on the single core).
+        thread: usize,
+    },
+}
+
+/// One entry of a [`WindowSchedule`]: the gap that precedes a window,
+/// then the window itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    /// Gap units advanced before the window: skipped generation-only
+    /// under [`GapMode::FastForward`], executed functionally otherwise.
+    pub skip: u64,
+    /// Gap units executed after `skip` to re-synchronise the predictor
+    /// (timed under fast-forward, functional otherwise).
+    pub rewarm: u64,
+    /// The measured window.
+    pub kind: WindowKind,
+}
+
+/// A sampling plan resolved into the ordered list of windows one
+/// simulator measures: steady windows (uniform, or the phase-clustered
+/// representatives), then the forced-switch event windows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowSchedule {
+    /// The windows, in execution order.
+    pub windows: Vec<Window>,
+    gap_mode: GapMode,
+    burst: u64,
+    threads: u32,
+}
+
+impl WindowSchedule {
+    /// Resolves `plan` for a simulator with `threads` timer-interrupted
+    /// hardware threads (event windows round-robin across them).
+    ///
+    /// With `phases`, the steady windows are the schedule's
+    /// representatives instead of the plan's uniform ones. `phases`
+    /// indexes the **target's** branch stream from the warm cursor, so it
+    /// must have been clustered with a `skip` equal to the warm-up the
+    /// simulator ran.
+    pub fn new(plan: &SamplingPlan, phases: Option<&PhaseSchedule>, threads: u32) -> Self {
+        // (gap before the window, window length, phase weight)
+        let steady: Vec<(u64, u64, Option<f64>)> = match phases {
+            None => vec![(plan.gap + plan.rewarm, plan.window, None); plan.steady_windows as usize],
+            Some(phases) => {
+                // Target branches consumed since the schedule origin.
+                let mut pos = 0u64;
+                let picks = phases.picks.iter().map(|pick| {
+                    let start = pick.index * phases.interval;
+                    debug_assert!(start >= pos, "picks must ascend");
+                    let gap = start - pos;
+                    pos = start + phases.interval;
+                    (gap, phases.interval, Some(pick.weight))
+                });
+                picks.collect()
+            }
+        };
+        let mut windows: Vec<Window> = steady
+            .into_iter()
+            .map(|(gap, len, weight)| {
+                let rewarm = plan.rewarm.min(gap);
+                Window {
+                    skip: gap - rewarm,
+                    rewarm,
+                    kind: WindowKind::Steady { len, weight },
+                }
+            })
+            .collect();
+        windows.extend((0..plan.event_windows).map(|w| Window {
+            skip: plan.gap,
+            rewarm: plan.rewarm,
+            kind: WindowKind::Event {
+                len: plan.event_window,
+                thread: w as usize % threads as usize,
+            },
+        }));
+        WindowSchedule {
+            windows,
+            gap_mode: plan.gap_mode,
+            burst: plan.burst,
+            threads,
+        }
+    }
+
+    /// Reassembles per-window results — from one serial run or from one
+    /// clone per window, in schedule order — into the measurement.
+    ///
+    /// Steady-window statistics aggregate per hardware thread; on SMT the
+    /// aggregate's cycle counters are the final per-thread clocks, read
+    /// from the last window.
+    pub fn assemble(&self, runs: Vec<WindowRun>) -> SampledMeasurement {
+        debug_assert_eq!(runs.len(), self.windows.len(), "one run per window");
+        let (mut steady_cycles, mut steady_weights, mut event_cycles) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let (mut steady_units, mut event_units) = (0, 0);
+        let mut agg: Vec<PredictionStats> = Vec::new();
+        for (window, run) in self.windows.iter().zip(&runs) {
+            match window.kind {
+                WindowKind::Steady { len, weight } => {
+                    steady_units = len;
+                    steady_cycles.push(run.cycles);
+                    steady_weights.extend(weight);
+                    agg.resize(run.stats.len(), PredictionStats::new());
+                    for (a, s) in agg.iter_mut().zip(&run.stats) {
+                        *a += *s;
+                    }
+                }
+                WindowKind::Event { len, .. } => {
+                    event_units = len;
+                    event_cycles.push(run.cycles);
+                }
+            }
+        }
+        let clocks = runs.last().map_or(&[][..], |r| &r.thread_cycles[..]);
+        for (a, clock) in agg.iter_mut().zip(clocks) {
+            a.cycles = *clock;
+        }
+        let mut stats = PredictionStats::new();
+        for a in &agg {
+            stats += *a;
+        }
+        SampledMeasurement {
+            steady_cycles,
+            steady_units,
+            event_cycles,
+            event_units,
+            stats,
+            per_thread: if clocks.is_empty() { Vec::new() } else { agg },
+            threads: self.threads,
+            steady_weights,
+        }
+    }
+}
+
+/// The measured result of one scheduled window.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowRun {
+    /// Measured cycles (target cycles on the single core, wall cycles on
+    /// SMT).
+    pub cycles: f64,
+    /// Window statistics: the target's (cycles stamped with the window's)
+    /// on the single core, one per hardware thread on SMT.
+    pub stats: Vec<PredictionStats>,
+    /// Per-thread cycle counters after the window (SMT; empty on the
+    /// single core, which reports no per-thread split).
+    pub thread_cycles: Vec<u64>,
+}
+
+/// A forced context switch opening an event window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForcedSwitch {
+    /// Hardware thread whose timer event fires.
+    pub thread: usize,
+    /// Background work between the switch pair (single core only).
+    pub burst: u64,
+    /// Run the burst through the timing-free path (state-identical).
+    pub functional: bool,
+}
+
+/// The stepping loops a simulator lends the sampled driver. Work units
+/// are target branches on the single core and instructions (across all
+/// threads) on SMT.
+pub trait SampledSim {
+    /// Hardware threads receiving timer interrupts (the estimator's `T`).
+    fn timer_threads(&self) -> u32;
+
+    /// Disables the natural timer for the rest of the simulator's life:
+    /// switches are forced at event windows and weighted analytically
+    /// per interval, which makes one sampled run valid for every
+    /// interval.
+    fn disable_timers(&mut self);
+
+    /// Fast-forwards the stream `units` generation-only (clocks and
+    /// predictor state untouched).
+    fn skip(&mut self, units: u64);
+
+    /// Executes `units` unmeasured, timed or through the functional
+    /// (state-exact, timing-free) path.
+    fn advance(&mut self, units: u64, functional: bool);
+
+    /// Fires a forced context switch outside a measured window.
+    fn force_switch(&mut self, switch: ForcedSwitch);
+
+    /// Resets statistics and measures `units`, opened by `switch` for an
+    /// event window.
+    fn measure(&mut self, units: u64, switch: Option<ForcedSwitch>) -> WindowRun;
+
+    /// The schedule `plan` (and optional phase clustering) resolves to on
+    /// this simulator.
+    fn schedule(&self, plan: &SamplingPlan, phases: Option<&PhaseSchedule>) -> WindowSchedule {
+        WindowSchedule::new(plan, phases, self.timer_threads())
+    }
+
+    /// Measures every window of `schedule` from the current (warm)
+    /// state.
+    fn run_schedule(&mut self, schedule: &WindowSchedule) -> SampledMeasurement {
+        let runs = drive(self, schedule, None);
+        schedule.assemble(runs)
+    }
+
+    /// Measures only window `index` of `schedule` from the current (warm)
+    /// state. Every earlier region — gaps, forced switches and the earlier
+    /// windows themselves — replays through the functional path, which
+    /// leaves predictor, generator and (on SMT) clock state bit-identical
+    /// to [`Self::run_schedule`] at the window's opening, so the window
+    /// reproduces the serial numbers exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    fn run_window(&mut self, schedule: &WindowSchedule, index: usize) -> WindowRun {
+        assert!(index < schedule.windows.len(), "window index out of range");
+        drive(self, schedule, Some(index))
+            .pop()
+            .expect("the requested window was measured")
+    }
+}
+
+/// The one sampled-simulation driver: walks `schedule`, measuring every
+/// window (`only == None`) or replaying up to window `only` functionally
+/// and measuring just that one. Phase boundaries open the advisory
+/// telemetry spans `gap`, `steady_window` and `event_window`.
+fn drive<S: SampledSim + ?Sized>(
+    sim: &mut S,
+    schedule: &WindowSchedule,
+    only: Option<usize>,
+) -> Vec<WindowRun> {
+    sim.disable_timers();
+    let mut runs = Vec::new();
+    let end = only.map_or(schedule.windows.len(), |i| i + 1);
+    for (i, window) in schedule.windows[..end].iter().enumerate() {
+        let measured = only.is_none_or(|o| o == i);
+        {
+            let _span = sbp_telemetry::span("gap", false, "");
+            match schedule.gap_mode {
+                GapMode::FastForward => {
+                    sim.skip(window.skip);
+                    sim.advance(window.rewarm, !measured);
+                }
+                GapMode::Functional => sim.advance(window.skip + window.rewarm, true),
+            }
+        }
+        let (len, switch, span) = match window.kind {
+            WindowKind::Steady { len, .. } => (len, None, "steady_window"),
+            WindowKind::Event { len, thread } => {
+                let switch = ForcedSwitch {
+                    thread,
+                    burst: schedule.burst,
+                    functional: !measured || schedule.gap_mode == GapMode::Functional,
+                };
+                (len, Some(switch), "event_window")
+            }
+        };
+        if measured {
+            let _span = sbp_telemetry::span(span, false, "");
+            runs.push(sim.measure(len, switch));
+        } else {
+            if let Some(switch) = switch {
+                sim.force_switch(switch);
+            }
+            sim.advance(len, true);
+        }
+    }
+    runs
 }
 
 /// A weighted cycle estimate with its propagated standard error.
@@ -462,9 +744,51 @@ mod tests {
     }
 
     #[test]
-    fn total_windows_counts_both_strata() {
-        assert_eq!(SamplingPlan::quick().total_windows(), 3);
-        assert_eq!(SamplingPlan::single_default().total_windows(), 6);
+    fn schedules_list_steady_then_round_robin_event_windows() {
+        let mut plan = SamplingPlan::quick();
+        plan.event_windows = 3;
+        let uniform = WindowSchedule::new(&plan, None, 2);
+        let kinds: Vec<WindowKind> = uniform.windows.iter().map(|w| w.kind).collect();
+        let steady = WindowKind::Steady {
+            len: 5_000,
+            weight: None,
+        };
+        let event = |thread| WindowKind::Event { len: 4_000, thread };
+        assert_eq!(kinds, [steady, steady, event(0), event(1), event(0)]);
+        assert!(uniform
+            .windows
+            .iter()
+            .all(|w| (w.skip, w.rewarm) == (8_000, 2_000)));
+
+        // Phase picks become weighted steady windows whose gaps reach
+        // each pick's start; the rewarm never exceeds the gap.
+        let phases = PhaseSchedule {
+            interval: 1_000,
+            picks: vec![
+                sbp_trace::PhasePick {
+                    index: 1,
+                    weight: 3.0,
+                },
+                sbp_trace::PhasePick {
+                    index: 9,
+                    weight: 5.0,
+                },
+            ],
+        };
+        let phased = WindowSchedule::new(&plan, Some(&phases), 1);
+        let gaps: Vec<(u64, u64)> = phased.windows[..2]
+            .iter()
+            .map(|w| (w.skip, w.rewarm))
+            .collect();
+        assert_eq!(gaps, [(0, 1_000), (5_000, 2_000)]);
+        assert_eq!(
+            phased.windows[1].kind,
+            WindowKind::Steady {
+                len: 1_000,
+                weight: Some(5.0)
+            }
+        );
+        assert_eq!(phased.windows.len(), 2 + 3);
     }
 
     #[test]

@@ -21,8 +21,7 @@ use sbp_trace::{
 use sbp_types::{CoreEvent, PredictionStats, SbpError, ThreadId};
 
 use crate::config::{CoreConfig, SwitchInterval};
-use crate::profile::{self, Phase};
-use crate::sampling::{GapMode, SampledMeasurement, SamplingPlan};
+use crate::sampling::{ForcedSwitch, SampledMeasurement, SampledSim, SamplingPlan, WindowRun};
 use crate::timing::{execute_branch, execute_branch_scalar, train_branch_clocked};
 
 #[derive(Debug)]
@@ -167,11 +166,24 @@ impl SmtSim {
         })
     }
 
-    /// Advances the globally-least-advanced thread by one event.
+    /// Advances the globally-least-advanced thread by one event and
+    /// returns the instructions it retired.
     ///
     /// `SCALAR` selects the uncached reference front-end path; the event
-    /// stream, scheduling, and timing are identical either way.
-    fn step_generic<const SCALAR: bool>(&mut self) -> u64 {
+    /// stream, scheduling, and timing are identical either way. With
+    /// `STATS` off this is the *functional* step: the branch trains the
+    /// front-end through the timing-free trainer and statistics
+    /// bookkeeping is skipped, but per-thread clocks still advance
+    /// bit-identically — the scheduler is clock-driven, so dropping the
+    /// clock would change the thread interleaving and with it the
+    /// shared-predictor state. The functional step is only valid with the
+    /// natural timer disabled (sampled mode): the timer path mutates
+    /// stats.
+    fn step_generic<const SCALAR: bool, const STATS: bool>(&mut self) -> u64 {
+        debug_assert!(
+            STATS || self.interval == u64::MAX,
+            "functional step needs timers off"
+        );
         let idx = self.next_thread();
         let hw = ThreadId::new(idx as u8);
 
@@ -188,24 +200,35 @@ impl SmtSim {
         match self.threads[idx].next_event() {
             TraceEvent::Branch(rec) => {
                 let t = &mut self.threads[idx];
-                let before = t.stats.instructions;
-                let cycles = if SCALAR {
+                t.clock += if !STATS {
+                    train_branch_clocked(&mut self.fe, &self.cfg, hw, &rec)
+                } else if SCALAR {
                     execute_branch_scalar(&mut self.fe, &self.cfg, hw, &rec, &mut t.stats)
                 } else {
                     execute_branch(&mut self.fe, &self.cfg, hw, &rec, &mut t.stats)
                 };
-                t.clock += cycles;
-                t.stats.instructions - before
+                rec.instructions()
             }
             TraceEvent::PrivilegeSwitch(to) => {
                 self.fe
                     .handle_event(CoreEvent::PrivilegeSwitch { hw_thread: hw, to });
                 let t = &mut self.threads[idx];
-                t.stats.privilege_switches += 1;
+                if STATS {
+                    t.stats.privilege_switches += 1;
+                }
                 t.clock += self.cfg.trap_overhead as f64;
                 0
             }
         }
+    }
+
+    /// Steps until at least `instructions` retired; returns how many did.
+    fn step_until<const SCALAR: bool, const STATS: bool>(&mut self, instructions: u64) -> u64 {
+        let mut executed = 0u64;
+        while executed < instructions {
+            executed += self.step_generic::<SCALAR, STATS>();
+        }
+        executed
     }
 
     /// The thread the SMT scheduler advances next: the one with the
@@ -220,67 +243,20 @@ impl SmtSim {
             .expect("non-empty thread list")
     }
 
-    /// Functional step: advances the least-advanced thread by one event
-    /// through the timing-free trainer. Per-thread clocks still advance
-    /// bit-identically to [`Self::step_generic`] — the SMT scheduler is
-    /// clock-driven, so dropping the clock would change the thread
-    /// interleaving and with it the shared-predictor state — but all
-    /// statistics bookkeeping is skipped. Returns instructions retired.
-    ///
-    /// Only valid with the natural timer disabled (sampled mode): the
-    /// timer path mutates stats this step does not replicate.
-    fn step_functional(&mut self) -> u64 {
-        debug_assert_eq!(self.interval, u64::MAX, "functional step needs timers off");
-        let idx = self.next_thread();
-        let hw = ThreadId::new(idx as u8);
-        match self.threads[idx].next_event() {
-            TraceEvent::Branch(rec) => {
-                let cycles = train_branch_clocked(&mut self.fe, &self.cfg, hw, &rec);
-                self.threads[idx].clock += cycles;
-                rec.instructions()
-            }
-            TraceEvent::PrivilegeSwitch(to) => {
-                self.fe
-                    .handle_event(CoreEvent::PrivilegeSwitch { hw_thread: hw, to });
-                self.threads[idx].clock += self.cfg.trap_overhead as f64;
-                0
-            }
-        }
-    }
-
-    /// Executes `instructions` across all threads functionally (see
-    /// [`Self::step_functional`]).
-    fn run_functional(&mut self, instructions: u64) {
-        let mut executed = 0u64;
-        while executed < instructions {
-            executed += self.step_functional();
-        }
-    }
-
     /// Runs `warmup_instr` instructions (discarded), then measures the
     /// wall-clock cycles to execute `measure_instr` further instructions
     /// across all threads (the paper's methodology).
     pub fn run(&mut self, warmup_instr: u64, measure_instr: u64) -> SmtResult {
-        self.run_generic::<false>(warmup_instr, measure_instr)
+        self.step_until::<false, true>(warmup_instr);
+        self.run_measure_generic::<false>(measure_instr)
     }
 
     /// [`Self::run`] through the uncached reference front-end path; kept
     /// for equivalence tests and the branches-per-second benchmark.
     /// Results are bit-identical to [`Self::run`].
     pub fn run_scalar(&mut self, warmup_instr: u64, measure_instr: u64) -> SmtResult {
-        self.run_generic::<true>(warmup_instr, measure_instr)
-    }
-
-    fn run_generic<const SCALAR: bool>(
-        &mut self,
-        warmup_instr: u64,
-        measure_instr: u64,
-    ) -> SmtResult {
-        let mut executed = 0u64;
-        while executed < warmup_instr {
-            executed += self.step_generic::<SCALAR>();
-        }
-        self.run_measure_generic::<SCALAR>(measure_instr)
+        self.step_until::<true, true>(warmup_instr);
+        self.run_measure_generic::<true>(measure_instr)
     }
 
     /// Runs the warm-up phase: `warmup_instr` instructions across all
@@ -289,17 +265,8 @@ impl SmtSim {
     /// the split lets callers checkpoint the warm state
     /// ([`Self::try_clone`]).
     pub fn warm(&mut self, warmup_instr: u64) {
-        profile::time(Phase::Warm, || self.run_timed_unmeasured(warmup_instr));
-    }
-
-    /// Timed execution of `instr` instructions with statistics kept but
-    /// unmeasured — the warm-up loop, also used for fast-forward rewarm
-    /// (where it is attributed to the gap phase, not warm-up).
-    fn run_timed_unmeasured(&mut self, instr: u64) {
-        let mut executed = 0u64;
-        while executed < instr {
-            executed += self.step_generic::<false>();
-        }
+        let _span = sbp_telemetry::span("warm", false, "");
+        self.advance(warmup_instr, false);
     }
 
     /// The measurement phase of [`Self::run`]: resets per-thread
@@ -309,25 +276,21 @@ impl SmtSim {
     }
 
     fn run_measure_generic<const SCALAR: bool>(&mut self, measure_instr: u64) -> SmtResult {
-        profile::time(Phase::Measure, || {
-            let start_wall = self.wall_clock();
-            for t in &mut self.threads {
-                t.stats = PredictionStats::new();
-            }
-            let mut measured = 0u64;
-            while measured < measure_instr {
-                measured += self.step_generic::<SCALAR>();
-            }
-            let cycles = self.wall_clock() - start_wall;
-            for t in &mut self.threads {
-                t.stats.cycles = t.clock as u64;
-            }
-            SmtResult {
-                cycles,
-                instructions: measured,
-                per_thread: self.threads.iter().map(|t| t.stats).collect(),
-            }
-        })
+        let _span = sbp_telemetry::span("measure", false, "");
+        let start_wall = self.wall_clock();
+        for t in &mut self.threads {
+            t.stats = PredictionStats::new();
+        }
+        let measured = self.step_until::<SCALAR, true>(measure_instr);
+        let cycles = self.wall_clock() - start_wall;
+        for t in &mut self.threads {
+            t.stats.cycles = t.clock as u64;
+        }
+        SmtResult {
+            cycles,
+            instructions: measured,
+            per_thread: self.threads.iter().map(|t| t.stats).collect(),
+        }
     }
 
     /// Deep-copies the whole SMT simulator (shared front-end, per-thread
@@ -390,190 +353,8 @@ impl SmtSim {
     /// enter the estimate analytically per interval
     /// ([`crate::sampling::estimate_cycles`] with `threads = T`).
     pub fn run_sampled(&mut self, plan: &SamplingPlan) -> SampledMeasurement {
-        self.disable_timers();
-        let n = self.threads.len();
-        let mut steady_cycles = Vec::with_capacity(plan.steady_windows as usize);
-        let mut agg = vec![PredictionStats::new(); n];
-        for _ in 0..plan.steady_windows {
-            steady_cycles.push(self.sampled_steady_window(plan));
-            for (a, t) in agg.iter_mut().zip(&self.threads) {
-                *a += t.stats;
-            }
-        }
-        let mut event_cycles = Vec::with_capacity(plan.event_windows as usize);
-        for w in 0..plan.event_windows {
-            event_cycles.push(self.sampled_event_window(plan, w as usize % n));
-        }
-        for (a, t) in agg.iter_mut().zip(&self.threads) {
-            a.cycles = t.clock as u64;
-        }
-        let mut stats = PredictionStats::new();
-        for a in &agg {
-            stats += *a;
-        }
-        SampledMeasurement {
-            steady_cycles,
-            steady_units: plan.window,
-            event_cycles,
-            event_units: plan.event_window,
-            stats,
-            per_thread: agg,
-            threads: n as u32,
-            steady_weights: Vec::new(),
-        }
-    }
-
-    /// Runs only measurement window `index` of the sampled schedule from
-    /// the current (warm) state, returning its wall-clock cycles and the
-    /// per-thread statistics it accumulated (meaningful for steady
-    /// windows; event-window statistics are never aggregated).
-    ///
-    /// Regions before the requested window — gaps, rewarm, forced
-    /// switches and the earlier measured windows — replay through
-    /// `step_functional`, which keeps per-thread clocks (the
-    /// scheduler is clock-driven) so the interleaving, shared-predictor
-    /// state and generator cursors are bit-identical to the serial
-    /// [`Self::run_sampled`] at the window's opening. After running the
-    /// *last* window, [`Self::thread_clocks`] matches the serial run's
-    /// final per-thread cycle counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn run_sampled_window(
-        &mut self,
-        plan: &SamplingPlan,
-        index: u32,
-    ) -> (f64, Vec<PredictionStats>) {
-        assert!(index < plan.total_windows(), "window index out of range");
-        self.disable_timers();
-        let n = self.threads.len();
-        for _ in 0..index.min(plan.steady_windows) {
-            self.replay_gap(plan);
-            self.run_functional(plan.window);
-        }
-        if index < plan.steady_windows {
-            let cycles = self.sampled_steady_window(plan);
-            return (cycles, self.threads.iter().map(|t| t.stats).collect());
-        }
-        for w in 0..(index - plan.steady_windows) {
-            self.replay_gap(plan);
-            self.force_switch(w as usize % n);
-            self.run_functional(plan.event_window);
-        }
-        let w = (index - plan.steady_windows) as usize % n;
-        let cycles = self.sampled_event_window(plan, w);
-        (cycles, self.threads.iter().map(|t| t.stats).collect())
-    }
-
-    /// Per-thread cycle counters (`clock as u64`, the value the serial
-    /// sampled path stores into each thread's aggregate stats).
-    pub fn thread_clocks(&self) -> Vec<u64> {
-        self.threads.iter().map(|t| t.clock as u64).collect()
-    }
-
-    fn disable_timers(&mut self) {
-        self.interval = u64::MAX;
-        for t in &mut self.threads {
-            t.next_switch = f64::INFINITY;
-        }
-    }
-
-    /// One steady window: gap advance, per-thread stats reset, measured
-    /// wall-clock delta over `plan.window` instructions. Shared by the
-    /// serial and windowed sampled paths so the two cannot drift.
-    fn sampled_steady_window(&mut self, plan: &SamplingPlan) -> f64 {
-        self.advance_gap(plan);
-        profile::time(Phase::Steady, || {
-            for t in &mut self.threads {
-                t.stats = PredictionStats::new();
-            }
-            let start_wall = self.wall_clock();
-            let mut measured = 0u64;
-            while measured < plan.window {
-                measured += self.step_generic::<false>();
-            }
-            self.wall_clock() - start_wall
-        })
-    }
-
-    /// One forced-switch event window, firing thread `idx`'s timer event.
-    fn sampled_event_window(&mut self, plan: &SamplingPlan, idx: usize) -> f64 {
-        self.advance_gap(plan);
-        profile::time(Phase::Event, || {
-            let start_wall = self.wall_clock();
-            // Fire one thread's timer event exactly as the natural timer
-            // would (flush/rekey + switch overhead on that thread), then
-            // measure the storm's wall-clock cost.
-            self.force_switch(idx);
-            let mut measured = 0u64;
-            while measured < plan.event_window {
-                measured += self.step_generic::<false>();
-            }
-            self.wall_clock() - start_wall
-        })
-    }
-
-    /// Fires thread `idx`'s timer context-switch event explicitly.
-    fn force_switch(&mut self, idx: usize) {
-        self.fe.handle_event(CoreEvent::ContextSwitch {
-            hw_thread: ThreadId::new(idx as u8),
-        });
-        self.threads[idx].stats.context_switches += 1;
-        self.threads[idx].clock += self.cfg.context_switch_overhead as f64;
-    }
-
-    /// Advances past one gap region per the plan's [`GapMode`]:
-    /// generation-only skip plus timed rewarm, or functional execution of
-    /// the folded gap+rewarm (clocks kept, stats skipped).
-    fn advance_gap(&mut self, plan: &SamplingPlan) {
-        profile::time(Phase::Gap, || match plan.gap_mode {
-            GapMode::FastForward => {
-                self.skip_all(plan.gap);
-                self.run_timed_unmeasured(plan.rewarm);
-            }
-            GapMode::Functional => {
-                self.run_functional(plan.gap + plan.rewarm);
-            }
-        })
-    }
-
-    /// [`Self::advance_gap`] for prefix replay: the fast-forward rewarm
-    /// runs functionally (clock-identical, stats-free).
-    fn replay_gap(&mut self, plan: &SamplingPlan) {
-        profile::time(Phase::Gap, || match plan.gap_mode {
-            GapMode::FastForward => {
-                self.skip_all(plan.gap);
-                self.run_functional(plan.rewarm);
-            }
-            GapMode::Functional => {
-                self.run_functional(plan.gap + plan.rewarm);
-            }
-        })
-    }
-
-    /// Fast-forwards every thread's stream by `instructions / threads`
-    /// generation-only (buffered events drained first), clocks untouched.
-    fn skip_all(&mut self, instructions: u64) {
-        if instructions == 0 {
-            return;
-        }
-        let per_thread = instructions / self.threads.len() as u64;
-        for t in &mut self.threads {
-            let mut left = per_thread;
-            while left > 0 {
-                match t.buf.pop() {
-                    Some(TraceEvent::Branch(rec)) => {
-                        left = left.saturating_sub(rec.instructions());
-                    }
-                    Some(TraceEvent::PrivilegeSwitch(_)) => {}
-                    None => break,
-                }
-            }
-            if left > 0 {
-                t.gen.skip_instructions(left);
-            }
-        }
+        let schedule = self.schedule(plan, None);
+        self.run_schedule(&schedule)
     }
 
     fn wall_clock(&self) -> f64 {
@@ -603,6 +384,80 @@ impl SmtSim {
     /// The shared front-end (observability).
     pub fn frontend(&self) -> &SecureFrontend {
         &self.fe
+    }
+}
+
+/// Units are instructions across all threads. Functional stepping keeps
+/// per-thread clocks (the scheduler is clock-driven), so windows measured
+/// after a functional replay see bit-identical clocks.
+impl SampledSim for SmtSim {
+    fn timer_threads(&self) -> u32 {
+        self.threads.len() as u32
+    }
+
+    fn disable_timers(&mut self) {
+        self.interval = u64::MAX;
+        for t in &mut self.threads {
+            t.next_switch = f64::INFINITY;
+        }
+    }
+
+    /// Fast-forwards every thread's stream by `instructions / threads`
+    /// generation-only (buffered events drained first).
+    fn skip(&mut self, instructions: u64) {
+        let per_thread = instructions / self.threads.len() as u64;
+        for t in &mut self.threads {
+            let mut left = per_thread;
+            while left > 0 {
+                match t.buf.pop() {
+                    Some(TraceEvent::Branch(rec)) => {
+                        left = left.saturating_sub(rec.instructions());
+                    }
+                    Some(TraceEvent::PrivilegeSwitch(_)) => {}
+                    None => break,
+                }
+            }
+            if left > 0 {
+                t.gen.skip_instructions(left);
+            }
+        }
+    }
+
+    fn advance(&mut self, instructions: u64, functional: bool) {
+        if functional {
+            self.step_until::<false, false>(instructions);
+        } else {
+            self.step_until::<false, true>(instructions);
+        }
+    }
+
+    /// Fires the thread's timer event exactly as the natural timer would
+    /// (flush/rekey plus switch overhead on that thread).
+    fn force_switch(&mut self, switch: ForcedSwitch) {
+        let idx = switch.thread;
+        self.fe.handle_event(CoreEvent::ContextSwitch {
+            hw_thread: ThreadId::new(idx as u8),
+        });
+        self.threads[idx].stats.context_switches += 1;
+        self.threads[idx].clock += self.cfg.context_switch_overhead as f64;
+    }
+
+    /// Wall-clock delta over `instructions`; an event window's delta
+    /// includes its forced switch.
+    fn measure(&mut self, instructions: u64, switch: Option<ForcedSwitch>) -> WindowRun {
+        for t in &mut self.threads {
+            t.stats = PredictionStats::new();
+        }
+        let start_wall = self.wall_clock();
+        if let Some(switch) = switch {
+            self.force_switch(switch);
+        }
+        self.step_until::<false, true>(instructions);
+        WindowRun {
+            cycles: self.wall_clock() - start_wall,
+            stats: self.threads.iter().map(|t| t.stats).collect(),
+            thread_cycles: self.threads.iter().map(|t| t.clock as u64).collect(),
+        }
     }
 }
 
@@ -733,7 +588,7 @@ mod tests {
     #[test]
     fn functional_stepping_matches_timed_stepping() {
         // Run the same region once through warm() (timed) and once
-        // through run_functional(): thread clocks, interleaving and
+        // functionally through advance(): thread clocks, interleaving and
         // shared predictor state must match bit-for-bit, proven by
         // identical measured windows afterwards.
         for mech in [Mechanism::CompleteFlush, Mechanism::noisy_xor_bp()] {
@@ -744,7 +599,7 @@ mod tests {
                 s.disable_timers();
             }
             timed.warm(30_000);
-            functional.run_functional(30_000);
+            functional.advance(30_000, true);
             for (a, b) in timed.threads.iter().zip(&functional.threads) {
                 assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "clock skew");
             }
@@ -779,21 +634,23 @@ mod tests {
             warm.warm(15_000);
             let mut serial = warm.try_clone().expect("clone");
             let m = serial.run_sampled(&plan);
+            let schedule = warm.schedule(&plan, None);
             let mut agg = vec![PredictionStats::new(); 2];
             let mut last_clocks = Vec::new();
-            for index in 0..plan.total_windows() {
+            let steady = plan.steady_windows as usize;
+            for index in 0..schedule.windows.len() {
                 let mut solo = warm.try_clone().expect("clone");
-                let (cycles, per_thread) = solo.run_sampled_window(&plan, index);
-                let want = if index < plan.steady_windows {
-                    for (a, t) in agg.iter_mut().zip(&per_thread) {
+                let run = solo.run_window(&schedule, index);
+                let want = if index < steady {
+                    for (a, t) in agg.iter_mut().zip(&run.stats) {
                         *a += *t;
                     }
-                    m.steady_cycles[index as usize]
+                    m.steady_cycles[index]
                 } else {
-                    m.event_cycles[(index - plan.steady_windows) as usize]
+                    m.event_cycles[index - steady]
                 };
-                assert_eq!(cycles.to_bits(), want.to_bits(), "window {index}");
-                last_clocks = solo.thread_clocks();
+                assert_eq!(run.cycles.to_bits(), want.to_bits(), "window {index}");
+                last_clocks = run.thread_cycles;
             }
             for ((a, want), clock) in agg.iter_mut().zip(&m.per_thread).zip(&last_clocks) {
                 a.cycles = *clock;

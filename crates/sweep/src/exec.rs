@@ -23,8 +23,10 @@ use parking_lot::Mutex;
 
 use sbp_attack::AttackOutcome;
 use sbp_core::Mechanism;
-use sbp_sim::{estimate_cycles, SampledMeasurement, SamplingPlan, SingleCoreSim, SmtSim};
-use sbp_trace::EventBuffer;
+use sbp_sim::{
+    estimate_cycles, SampledMeasurement, SampledSim, SamplingPlan, SingleCoreSim, SmtSim,
+};
+use sbp_trace::{EventBuffer, PhaseSchedule};
 use sbp_types::{PredictionStats, SbpError};
 
 use crate::plan::{Job, JobGroup, SweepPlan};
@@ -95,6 +97,49 @@ impl RawResult {
         match self {
             RawResult::Attack(out) => Some(out),
             RawResult::Sim(_) => None,
+        }
+    }
+}
+
+/// A simulator of the spec's core mode; also the warm-state checkpoint
+/// the cache stores (snapshotted right after warm-up, before any timer
+/// switch has fired).
+enum CellSim {
+    Single(SingleCoreSim),
+    Smt(SmtSim),
+}
+
+/// Evaluates `$body` with `$s` bound to the simulator inside a
+/// [`CellSim`], whichever core mode it is.
+macro_rules! with_sim {
+    ($sim:expr, $s:ident => $body:expr) => {
+        match $sim {
+            CellSim::Single($s) => $body,
+            CellSim::Smt($s) => $body,
+        }
+    };
+}
+
+impl CellSim {
+    fn new(spec: &SweepSpec, group: &JobGroup, mechanism: Mechanism) -> Result<Self, SbpError> {
+        let case = &spec.cases[group.case_index];
+        let workloads: Vec<&str> = case.workloads.iter().map(String::as_str).collect();
+        let (core, predictor, interval, seed) =
+            (spec.core, group.predictor, group.interval, group.seed);
+        Ok(match spec.mode {
+            SweepMode::SingleCore => CellSim::Single(SingleCoreSim::new(
+                core, predictor, mechanism, interval, &workloads, seed,
+            )?),
+            SweepMode::Smt => CellSim::Smt(SmtSim::new(
+                core, predictor, mechanism, interval, &workloads, seed,
+            )?),
+        })
+    }
+
+    fn try_clone(&self) -> Option<Self> {
+        match self {
+            CellSim::Single(s) => s.try_clone().map(CellSim::Single),
+            CellSim::Smt(s) => s.try_clone().map(CellSim::Smt),
         }
     }
 }
@@ -312,46 +357,36 @@ pub fn run_job_in(
     if let Some(sampling) = &spec.sampling {
         return run_sampled_job(arena, spec, group, mechanism, sampling);
     }
-    match spec.mode {
-        SweepMode::SingleCore => {
-            let (mut sim, from_cache) = warm_single(arena, spec, group, mechanism)?;
-            let stats = sim.run_measure(spec.budget.measure);
-            if !from_cache {
-                sim.release_buffers(&mut arena.buffers);
-            }
-            Ok(RawResult::Sim(RawRun {
+    let (mut sim, from_cache) = warm(arena, spec, group, mechanism)?;
+    let run = match &mut sim {
+        CellSim::Single(s) => {
+            let stats = s.run_measure(spec.budget.measure);
+            RawRun {
                 cycles: stats.cycles as f64,
                 stats,
                 per_thread: Vec::new(),
                 stderr: None,
-            }))
-        }
-        SweepMode::Smt => {
-            let (mut sim, from_cache) = warm_smt(arena, spec, group, mechanism)?;
-            let result = sim.run_measure(spec.budget.measure);
-            if !from_cache {
-                sim.release_buffers(&mut arena.buffers);
             }
+        }
+        CellSim::Smt(s) => {
+            let result = s.run_measure(spec.budget.measure);
             let mut stats = PredictionStats::new();
             for t in &result.per_thread {
                 stats += *t;
             }
             stats.cycles = result.cycles as u64;
-            Ok(RawResult::Sim(RawRun {
+            RawRun {
                 cycles: result.cycles,
                 stats,
                 per_thread: result.per_thread,
                 stderr: None,
-            }))
+            }
         }
+    };
+    if !from_cache {
+        with_sim!(&mut sim, s => s.release_buffers(&mut arena.buffers));
     }
-}
-
-/// A warm-state checkpoint: one simulator snapshotted right after its
-/// warm-up phase, before any timer switch has fired.
-enum WarmSim {
-    Single(SingleCoreSim),
-    Smt(SmtSim),
+    Ok(RawResult::Sim(run))
 }
 
 /// Caches are bounded by wholesale clearing: eviction order must not
@@ -360,13 +395,18 @@ enum WarmSim {
 /// way — restores are bit-identical to fresh runs).
 const CACHE_CAP: usize = 256;
 
-fn warm_cache() -> &'static Mutex<HashMap<String, WarmSim>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, WarmSim>>> = OnceLock::new();
+fn warm_cache() -> &'static Mutex<HashMap<String, CellSim>> {
+    static CACHE: OnceLock<Mutex<HashMap<String, CellSim>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 fn window_cache() -> &'static Mutex<HashMap<String, SampledMeasurement>> {
     static CACHE: OnceLock<Mutex<HashMap<String, SampledMeasurement>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+fn phase_cache() -> &'static Mutex<HashMap<String, PhaseSchedule>> {
+    static CACHE: OnceLock<Mutex<HashMap<String, PhaseSchedule>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -394,97 +434,50 @@ fn warm_key(spec: &SweepSpec, group: &JobGroup, mechanism: Mechanism) -> String 
     )
 }
 
-/// Returns a warmed single-core simulator for this job and whether it
-/// came from the checkpoint cache (cache restores own their buffers and
-/// bypass the arena). Falls back to a fresh warm-up when no checkpoint
-/// fits; checkpoints are stored only when the warm-up saw no timer
-/// switch, so every restore is bit-identical to a fresh run.
-fn warm_single(
+/// Returns a warmed simulator for this job and whether it came from the
+/// checkpoint cache (cache restores own their buffers and bypass the
+/// arena). Falls back to a fresh warm-up when no checkpoint fits;
+/// checkpoints are stored only when the warm-up saw no timer switch, so
+/// every restore is bit-identical to a fresh run.
+fn warm(
     arena: &mut JobArena,
     spec: &SweepSpec,
     group: &JobGroup,
     mechanism: Mechanism,
-) -> Result<(SingleCoreSim, bool), SbpError> {
+) -> Result<(CellSim, bool), SbpError> {
     let key = warm_key(spec, group, mechanism);
-    if let Some(WarmSim::Single(w)) = warm_cache().lock().get(&key) {
-        if let Some(mut clone) = w.try_clone() {
-            if clone.retarget_interval(group.interval) {
-                sbp_telemetry::counter("warm_cache_hit", 1.0, false, "");
-                return Ok((clone, true));
-            }
+    if let Some(mut clone) = warm_cache().lock().get(&key).and_then(CellSim::try_clone) {
+        if with_sim!(&mut clone, s => s.retarget_interval(group.interval)) {
+            sbp_telemetry::counter("warm_cache_hit", 1.0, false, "");
+            return Ok((clone, true));
         }
     }
     sbp_telemetry::counter("warm_cache_miss", 1.0, false, "");
-    let case = &spec.cases[group.case_index];
-    let workloads: Vec<&str> = case.workloads.iter().map(String::as_str).collect();
-    let mut sim = SingleCoreSim::new(
-        spec.core,
-        group.predictor,
-        mechanism,
-        group.interval,
-        &workloads,
-        group.seed,
-    )?;
-    sim.adopt_buffers(&mut arena.buffers);
-    sim.warm(spec.budget.warmup);
-    if sim.context_switches() == 0 {
+    let mut sim = CellSim::new(spec, group, mechanism)?;
+    let switches = with_sim!(&mut sim, s => {
+        s.adopt_buffers(&mut arena.buffers);
+        s.warm(spec.budget.warmup);
+        s.context_switches()
+    });
+    if switches == 0 {
         if let Some(snapshot) = sim.try_clone() {
-            cache_insert(&mut warm_cache().lock(), key, WarmSim::Single(snapshot));
+            cache_insert(&mut warm_cache().lock(), key, snapshot);
         }
     }
     Ok((sim, false))
 }
 
-/// SMT counterpart of [`warm_single`].
-fn warm_smt(
-    arena: &mut JobArena,
-    spec: &SweepSpec,
-    group: &JobGroup,
-    mechanism: Mechanism,
-) -> Result<(SmtSim, bool), SbpError> {
-    let key = warm_key(spec, group, mechanism);
-    if let Some(WarmSim::Smt(w)) = warm_cache().lock().get(&key) {
-        if let Some(mut clone) = w.try_clone() {
-            if clone.retarget_interval(group.interval) {
-                sbp_telemetry::counter("warm_cache_hit", 1.0, false, "");
-                return Ok((clone, true));
-            }
-        }
-    }
-    sbp_telemetry::counter("warm_cache_miss", 1.0, false, "");
-    let case = &spec.cases[group.case_index];
-    let workloads: Vec<&str> = case.workloads.iter().map(String::as_str).collect();
-    let mut sim = SmtSim::new(
-        spec.core,
-        group.predictor,
-        mechanism,
-        group.interval,
-        &workloads,
-        group.seed,
-    )?;
-    sim.adopt_buffers(&mut arena.buffers);
-    sim.warm(spec.budget.warmup);
-    if sim.context_switches() == 0 {
-        if let Some(snapshot) = sim.try_clone() {
-            cache_insert(&mut warm_cache().lock(), key, WarmSim::Smt(snapshot));
-        }
-    }
-    Ok((sim, false))
-}
-
-/// Executes a sampled simulation job: the stratified window run is shared
-/// across the interval axis through the window-measurement cache, and
-/// the per-interval estimate is produced analytically.
+/// Executes a sampled simulation job: the window measurement is
+/// interval-independent, so it is shared across the interval axis
+/// through the window-measurement cache, and the per-interval estimate
+/// is produced analytically.
 fn run_sampled_job(
     arena: &mut JobArena,
     spec: &SweepSpec,
     group: &JobGroup,
     mechanism: Mechanism,
-    sampling: &sbp_sim::SamplingPlan,
+    sampling: &SamplingPlan,
 ) -> Result<RawResult, SbpError> {
-    if sampling.phase_windows > 0 {
-        return run_phased_job(arena, spec, group, mechanism, sampling);
-    }
     let mkey = format!(
         "{}|sampling={}",
         warm_key(spec, group, mechanism),
@@ -498,51 +491,22 @@ fn run_sampled_job(
         }
         None => {
             sbp_telemetry::counter("window_cache_miss", 1.0, false, "");
-            let threads = window_threads();
-            let windowed = threads > 1 && sampling.total_windows() > 1;
-            if windowed {
-                sbp_telemetry::gauge("window_threads", threads as f64, false, "");
-            }
-            let m = match spec.mode {
-                SweepMode::SingleCore => {
-                    let (mut sim, from_cache) = warm_single(arena, spec, group, mechanism)?;
-                    let m = if windowed {
-                        run_single_windowed(&sim, sampling, threads)
-                    } else {
-                        None
-                    };
-                    let m = m.unwrap_or_else(|| sim.run_sampled(sampling));
-                    if !from_cache {
-                        sim.release_buffers(&mut arena.buffers);
-                    }
-                    m
-                }
-                SweepMode::Smt => {
-                    let (mut sim, from_cache) = warm_smt(arena, spec, group, mechanism)?;
-                    let m = if windowed {
-                        run_smt_windowed(&sim, sampling, threads)
-                    } else {
-                        None
-                    };
-                    let m = m.unwrap_or_else(|| sim.run_sampled(sampling));
-                    if !from_cache {
-                        sim.release_buffers(&mut arena.buffers);
-                    }
-                    m
-                }
+            let phases = match sampling.phase_windows {
+                0 => None,
+                _ => Some(phase_schedule(spec, group, sampling)?),
             };
+            let (mut sim, from_cache) = warm(arena, spec, group, mechanism)?;
+            let m = measure_windows(&mut sim, sampling, phases.as_ref(), window_threads());
+            if !from_cache {
+                with_sim!(&mut sim, s => s.release_buffers(&mut arena.buffers));
+            }
             cache_insert(&mut window_cache().lock(), mkey, m.clone());
             m
         }
     };
-    Ok(finish_sampled(m, spec, group))
-}
-
-/// Shared tail of the sampled paths: per-window telemetry gauges and the
-/// analytic full-budget estimate. The gauges are deterministic: `m` is
-/// bit-identical whether it came from the cache, a serial run, or the
-/// window fan-out, so every job of the group emits the same sequence.
-fn finish_sampled(m: SampledMeasurement, spec: &SweepSpec, group: &JobGroup) -> RawResult {
+    // Per-window gauges are deterministic: `m` is bit-identical whether
+    // it came from the cache, a serial run, or the window fan-out, so
+    // every job of the group emits the same sequence.
     for (w, cycles) in m.steady_cycles.iter().enumerate() {
         sbp_telemetry::gauge(
             "steady_window_cycles",
@@ -557,34 +521,65 @@ fn finish_sampled(m: SampledMeasurement, spec: &SweepSpec, group: &JobGroup) -> 
     let est = estimate_cycles(&m, spec.budget.measure, group.interval);
     let mut stats = m.stats;
     stats.cycles = est.cycles as u64;
-    RawResult::Sim(RawRun {
+    Ok(RawResult::Sim(RawRun {
         cycles: est.cycles,
         stats,
         per_thread: m.per_thread,
         stderr: Some(est.stderr),
+    }))
+}
+
+/// Measures the warm simulator's sampled windows. With `threads > 1`,
+/// each window runs on its own clone of the warm state
+/// ([`SampledSim::run_window`]) across a `threads`-wide pool, and the
+/// per-window results reassemble into exactly the measurement the
+/// serial run produces (each clone replays its prefix functionally).
+/// Falls back to the serial run when the simulator cannot be cloned.
+fn measure_windows(
+    sim: &mut CellSim,
+    plan: &SamplingPlan,
+    phases: Option<&PhaseSchedule>,
+    threads: usize,
+) -> SampledMeasurement {
+    with_sim!(sim, s => {
+        let schedule = s.schedule(plan, phases);
+        let n = schedule.windows.len();
+        let slots = (threads > 1 && n > 1)
+            .then(|| {
+                let clone = || s.try_clone().map(|c| Mutex::new(Some(c)));
+                (0..n).map(|_| clone()).collect::<Option<Vec<_>>>()
+            })
+            .flatten();
+        let Some(slots) = slots else {
+            return s.run_schedule(&schedule);
+        };
+        sbp_telemetry::gauge("window_threads", threads as f64, false, "");
+        // Window threads record their phase spans into this job's lane,
+        // adopted in window order.
+        let scope = sbp_telemetry::JobScope::current();
+        let runs = parallel_map_bounded_with(n, threads, || (), |(), i| {
+            let solo = slots[i].lock().take();
+            scope.capture(|| solo.expect("one clone per window").run_window(&schedule, i))
+        });
+        let runs = runs.into_iter().map(|(run, events)| {
+            sbp_telemetry::adopt(events);
+            run
+        });
+        schedule.assemble(runs.collect())
     })
 }
 
-fn phase_cache() -> &'static Mutex<HashMap<String, sbp_trace::PhaseSchedule>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, sbp_trace::PhaseSchedule>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Executes a sampled job whose steady windows are phase-clustered
-/// representatives of a recorded trace (`SamplingPlan::phase_windows`).
-/// The target workload must be a `replay:<workload>@<dir>` stream — the
-/// clusterer reads the same on-disk trace the simulator replays, skipping
-/// the warm-up prefix so schedule indices line up with the warm cursor.
-/// Schedules are cached per (trace, skip, interval, k); the measurement
-/// shares the ordinary window cache (the `p{k}` fingerprint token keeps
-/// it disjoint from uniform-schedule entries).
-fn run_phased_job(
-    arena: &mut JobArena,
+/// The phase-clustered steady-window schedule of a single-core replay
+/// job (`SamplingPlan::phase_windows`). The target workload must be a
+/// `replay:<workload>@<dir>` stream — the clusterer reads the same
+/// on-disk trace the simulator replays, skipping the warm-up prefix so
+/// schedule indices line up with the warm cursor. Schedules are cached
+/// per (trace, skip, interval, k, reserve).
+fn phase_schedule(
     spec: &SweepSpec,
     group: &JobGroup,
-    mechanism: Mechanism,
-    sampling: &sbp_sim::SamplingPlan,
-) -> Result<RawResult, SbpError> {
+    sampling: &SamplingPlan,
+) -> Result<PhaseSchedule, SbpError> {
     if spec.mode != SweepMode::SingleCore {
         return Err(SbpError::config(
             "phase-clustered sampling (phase_windows > 0) is single-core only",
@@ -621,155 +616,18 @@ fn run_phased_job(
         sampling.phase_windows,
         reserve,
     );
-    let cached = phase_cache().lock().get(&skey).cloned();
-    let schedule = match cached {
-        Some(s) => s,
-        None => {
-            let s = sbp_trace::cluster_trace(
-                &path,
-                spec.budget.warmup,
-                sampling.window,
-                sampling.phase_windows as usize,
-                reserve,
-            )?;
-            cache_insert(&mut phase_cache().lock(), skey, s.clone());
-            s
-        }
-    };
-    let mkey = format!(
-        "{}|sampling={}",
-        warm_key(spec, group, mechanism),
-        sampling.fingerprint()
-    );
-    let cached = window_cache().lock().get(&mkey).cloned();
-    let m = match cached {
-        Some(m) => {
-            sbp_telemetry::counter("window_cache_hit", 1.0, false, "");
-            m
-        }
-        None => {
-            sbp_telemetry::counter("window_cache_miss", 1.0, false, "");
-            let (mut sim, from_cache) = warm_single(arena, spec, group, mechanism)?;
-            let m = sim.run_phased(sampling, &schedule);
-            if !from_cache {
-                sim.release_buffers(&mut arena.buffers);
-            }
-            cache_insert(&mut window_cache().lock(), mkey, m.clone());
-            m
-        }
-    };
-    Ok(finish_sampled(m, spec, group))
-}
-
-/// Window fan-out for a single-core sampled cell: each of the plan's
-/// measurement windows runs on its own clone of the warm checkpoint
-/// (`SingleCoreSim::run_sampled_window`), and the per-window results are
-/// reassembled into the [`SampledMeasurement`] the serial
-/// `run_sampled` would have produced — bit-identically, because each
-/// clone replays its prefix through the functional (state-exact) path.
-/// Returns `None` when any window clone fails, so the caller falls back
-/// to the serial run.
-fn run_single_windowed(
-    sim: &SingleCoreSim,
-    plan: &SamplingPlan,
-    threads: usize,
-) -> Option<SampledMeasurement> {
-    let n = plan.total_windows() as usize;
-    let clones: Option<Vec<SingleCoreSim>> = (0..n).map(|_| sim.try_clone()).collect();
-    let slots: Vec<Mutex<Option<SingleCoreSim>>> =
-        clones?.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let runs = parallel_map_bounded_with(
-        n,
-        threads,
-        || (),
-        |(), i| {
-            let mut solo = slots[i].lock().take().expect("window clone");
-            solo.run_sampled_window(plan, i as u32)
-        },
-    );
-    let mut steady_cycles = Vec::with_capacity(plan.steady_windows as usize);
-    let mut event_cycles = Vec::with_capacity(plan.event_windows as usize);
-    let mut agg = PredictionStats::new();
-    for (i, (cycles, stats)) in runs.into_iter().enumerate() {
-        if (i as u32) < plan.steady_windows {
-            steady_cycles.push(cycles);
-            agg += stats;
-        } else {
-            event_cycles.push(cycles);
-        }
+    if let Some(s) = phase_cache().lock().get(&skey) {
+        return Ok(s.clone());
     }
-    Some(SampledMeasurement {
-        steady_cycles,
-        steady_units: plan.window,
-        event_cycles,
-        event_units: plan.event_window,
-        stats: agg,
-        per_thread: Vec::new(),
-        threads: 1,
-        steady_weights: Vec::new(),
-    })
-}
-
-/// SMT counterpart of [`run_single_windowed`]: per-thread statistics
-/// aggregate over the steady windows, and the final per-thread cycle
-/// counters come from the clone that ran the *last* window (whose
-/// functional prefix replay leaves its clocks equal to the serial
-/// run's).
-fn run_smt_windowed(
-    sim: &SmtSim,
-    plan: &SamplingPlan,
-    threads: usize,
-) -> Option<SampledMeasurement> {
-    let n = plan.total_windows() as usize;
-    let clones: Option<Vec<SmtSim>> = (0..n).map(|_| sim.try_clone()).collect();
-    let slots: Vec<Mutex<Option<SmtSim>>> =
-        clones?.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let runs = parallel_map_bounded_with(
-        n,
-        threads,
-        || (),
-        |(), i| {
-            let mut solo = slots[i].lock().take().expect("window clone");
-            let (cycles, per_thread) = solo.run_sampled_window(plan, i as u32);
-            let clocks = (i == n - 1).then(|| solo.thread_clocks());
-            (cycles, per_thread, clocks)
-        },
-    );
-    let hw_threads = runs.first().map_or(0, |(_, t, _)| t.len());
-    let mut steady_cycles = Vec::with_capacity(plan.steady_windows as usize);
-    let mut event_cycles = Vec::with_capacity(plan.event_windows as usize);
-    let mut agg = vec![PredictionStats::new(); hw_threads];
-    let mut last_clocks = Vec::new();
-    for (i, (cycles, per_thread, clocks)) in runs.into_iter().enumerate() {
-        if (i as u32) < plan.steady_windows {
-            steady_cycles.push(cycles);
-            for (a, t) in agg.iter_mut().zip(&per_thread) {
-                *a += *t;
-            }
-        } else {
-            event_cycles.push(cycles);
-        }
-        if let Some(clocks) = clocks {
-            last_clocks = clocks;
-        }
-    }
-    for (a, clock) in agg.iter_mut().zip(&last_clocks) {
-        a.cycles = *clock;
-    }
-    let mut stats = PredictionStats::new();
-    for a in &agg {
-        stats += *a;
-    }
-    Some(SampledMeasurement {
-        steady_cycles,
-        steady_units: plan.window,
-        event_cycles,
-        event_units: plan.event_window,
-        stats,
-        per_thread: agg,
-        threads: hw_threads as u32,
-        steady_weights: Vec::new(),
-    })
+    let schedule = sbp_trace::cluster_trace(
+        &path,
+        spec.budget.warmup,
+        sampling.window,
+        sampling.phase_windows as usize,
+        reserve,
+    )?;
+    cache_insert(&mut phase_cache().lock(), skey, schedule.clone());
+    Ok(schedule)
 }
 
 #[cfg(test)]
@@ -858,23 +716,11 @@ mod tests {
                     Job::Attack(_) => unreachable!("sim plan"),
                 };
                 let mut arena = JobArena::new();
-                if smt {
-                    let (mut serial, _) =
-                        warm_smt(&mut arena, &spec, group, mechanism).expect("warm");
-                    let want = serial.run_sampled(&splan);
-                    let (windowed, _) =
-                        warm_smt(&mut arena, &spec, group, mechanism).expect("warm");
-                    let got = run_smt_windowed(&windowed, &splan, 3).expect("window clones");
-                    assert_eq!(got, want, "smt windowed ({:?})", splan.gap_mode);
-                } else {
-                    let (mut serial, _) =
-                        warm_single(&mut arena, &spec, group, mechanism).expect("warm");
-                    let want = serial.run_sampled(&splan);
-                    let (windowed, _) =
-                        warm_single(&mut arena, &spec, group, mechanism).expect("warm");
-                    let got = run_single_windowed(&windowed, &splan, 3).expect("window clones");
-                    assert_eq!(got, want, "single windowed ({:?})", splan.gap_mode);
-                }
+                let (mut serial, _) = warm(&mut arena, &spec, group, mechanism).expect("warm");
+                let want = with_sim!(&mut serial, s => s.run_sampled(&splan));
+                let (mut windowed, _) = warm(&mut arena, &spec, group, mechanism).expect("warm");
+                let got = measure_windows(&mut windowed, &splan, None, 3);
+                assert_eq!(got, want, "windowed (smt={smt}, {:?})", splan.gap_mode);
             }
         }
     }

@@ -11,6 +11,7 @@
 //! function of the plan-ordered results and stored floats round-trip
 //! exactly.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
@@ -132,7 +133,7 @@ pub struct SweepOutcome {
 impl SweepSpec {
     /// Plans the sweep, skips every job whose fingerprint is already in
     /// the store, executes the rest (restricted to `opts.shard` if set)
-    /// appending each result to the store as it completes, and builds the
+    /// appending the results to the store in plan order, and builds the
     /// report once all cells have results.
     ///
     /// # Errors
@@ -163,17 +164,29 @@ impl SweepSpec {
             .collect();
         let skipped = stored.iter().filter(|s| **s).count();
 
-        let store = store.map(Mutex::new);
+        // Fresh results are appended in plan order: a finished job is held
+        // until every earlier todo job has been written (or has failed),
+        // so two runs of one spec write byte-identical stores. A killed
+        // run still leaves only complete lines; held jobs simply re-run
+        // on resume.
+        let writer = store.map(|s| Mutex::new((s, 0usize, BTreeMap::new())));
         let fresh: Vec<Result<RawResult, SbpError>> =
             parallel_map_with(todo.len(), JobArena::new, |arena, k| {
-                let i = todo[k];
-                let result = run_job_indexed(arena, self, &plan, i)?;
-                if let Some(s) = &store {
-                    s.lock().append(fps[i], &result)?;
+                let result = run_job_indexed(arena, self, &plan, todo[k]);
+                if let Some(w) = &writer {
+                    let mut guard = w.lock();
+                    let (store, next, held) = &mut *guard;
+                    held.insert(k, result.as_ref().ok().cloned());
+                    while let Some(done) = held.remove(next) {
+                        if let Some(r) = done {
+                            store.append(fps[todo[*next]], &r)?;
+                        }
+                        *next += 1;
+                    }
                 }
-                Ok(result)
+                result
             });
-        let store = store.map(Mutex::into_inner);
+        let store = writer.map(|w| w.into_inner().0);
 
         let mut results: Vec<Option<RawResult>> = vec![None; plan.jobs.len()];
         for (k, i) in todo.iter().enumerate() {

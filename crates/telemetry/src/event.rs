@@ -232,17 +232,27 @@ pub(crate) fn lane_key(e: &Event) -> (String, u32, Option<u64>) {
 /// duration), and **renumbers** sequence numbers per lane so that
 /// advisory events interleaved in the source stream do not shift the
 /// surviving events' positions. Span IDs are remapped to match the
-/// renumbered sequences via each span's `Begin`. Two runs of the same
-/// work — regardless of `--window-threads`, `--profile`, or telemetry
+/// renumbered sequences via each span's `Begin`.
+///
+/// Lanes are emitted in a fixed order — entries in first-appearance
+/// order, then `(shard, job)` ascending — with each lane's events kept
+/// in source order, so the order in which parallel jobs happened to
+/// flush does not leak into the projection. Two runs of the same work —
+/// regardless of `--window-threads`, `--profile`, or telemetry
 /// verbosity — produce byte-identical projections.
 pub fn canonical_projection(events: &[Event]) -> Vec<Event> {
+    let mut entry_rank: HashMap<&str, usize> = HashMap::new();
+    let mut det: Vec<&Event> = events.iter().filter(|e| e.det).collect();
+    for e in &det {
+        let next = entry_rank.len();
+        entry_rank.entry(e.entry.as_str()).or_insert(next);
+    }
+    // Stable: each lane keeps its source order.
+    det.sort_by_key(|e| (entry_rank[e.entry.as_str()], e.shard, e.job));
     let mut next_seq: HashMap<(String, u32, Option<u64>), u32> = HashMap::new();
     let mut id_map: HashMap<u64, u64> = HashMap::new();
     let mut out = Vec::new();
-    for e in events {
-        if !e.det {
-            continue;
-        }
+    for e in det {
         let mut c = e.clone();
         let seq = next_seq.entry(lane_key(e)).or_insert(0);
         c.seq = *seq;
@@ -619,6 +629,30 @@ mod tests {
         let lines: Vec<String> = canon.iter().map(Event::to_line).collect();
         let lines2: Vec<String> = canon2.iter().map(Event::to_line).collect();
         assert_eq!(lines, lines2);
+    }
+
+    #[test]
+    fn canonical_projection_ignores_job_flush_order() {
+        // Jobs 3 and 1 flushed in either order (pool completion order)
+        // must project to the same bytes, lanes in (shard, job) order.
+        let lane = |job| {
+            vec![sample(true, Kind::Mark, 0, Some(job)), {
+                let mut e = sample(true, Kind::Gauge, 1, Some(job));
+                e.name = "cycles".into();
+                e
+            }]
+        };
+        let a: Vec<Event> = [lane(3), lane(1)].concat();
+        let b: Vec<Event> = [lane(1), lane(3)].concat();
+        let project = |events: &[Event]| -> Vec<String> {
+            canonical_projection(events)
+                .iter()
+                .map(Event::to_line)
+                .collect()
+        };
+        assert_eq!(project(&a), project(&b));
+        let jobs: Vec<Option<u64>> = canonical_projection(&a).iter().map(|e| e.job).collect();
+        assert_eq!(jobs, [Some(1), Some(1), Some(3), Some(3)]);
     }
 
     #[test]

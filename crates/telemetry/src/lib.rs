@@ -48,7 +48,7 @@ mod timeline;
 pub use chrome::to_chrome_trace;
 pub use event::{canonical_projection, span_id, validate, Event, Kind, TimelineStats, SCHEMA_V};
 pub use sink::{
-    control_gauge, control_mark, control_span, counter, disable, enable, enabled, gauge, job_scope,
-    mark, set_entry, span, take_events, ControlSpan, Span,
+    adopt, control_gauge, control_mark, control_span, counter, disable, enable, enabled, events,
+    gauge, job_scope, mark, set_entry, span, take_events, ControlSpan, JobScope, Span,
 };
 pub use timeline::{merge, read_events, read_events_lenient, write_events};

@@ -11,6 +11,7 @@
 //! write straight through under the state lock.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -129,6 +130,15 @@ pub fn take_events() -> Vec<Event> {
     }
 }
 
+/// Copies every event the sink has collected so far, leaving them in
+/// place (unlike [`take_events`]).
+pub fn events() -> Vec<Event> {
+    match STATE.lock().expect("telemetry sink lock").as_ref() {
+        Some(state) => state.events.clone(),
+        None => Vec::new(),
+    }
+}
+
 /// Runs `f` with a job-lane scope for plan job `job`.
 ///
 /// Events emitted by `f` on this thread ([`span`], [`counter`],
@@ -174,6 +184,102 @@ pub fn job_scope<R>(job: u64, f: impl FnOnce() -> R) -> R {
     }
     let _guard = FlushGuard;
     f()
+}
+
+/// The identity of the job scope open on the current thread, so helper
+/// threads working for that job (the sampled-window fan-out) can record
+/// events into it. Inert when no scope is open.
+#[derive(Debug, Clone)]
+pub struct JobScope(Option<ScopeId>);
+
+#[derive(Debug, Clone)]
+struct ScopeId {
+    entry: String,
+    shard: u32,
+    epoch: Instant,
+    job: u64,
+}
+
+impl JobScope {
+    /// The scope open on this thread, if any.
+    pub fn current() -> JobScope {
+        let id = enabled().then(|| {
+            SCOPE.with(|scope| {
+                scope.borrow().as_ref().map(|buf| ScopeId {
+                    entry: buf.entry.clone(),
+                    shard: buf.shard,
+                    epoch: buf.epoch,
+                    job: buf.job,
+                })
+            })
+        });
+        JobScope(id.flatten())
+    }
+
+    /// Runs `f` on a helper thread, buffering the events it emits for
+    /// this scope; hand them to [`adopt`] on the scope's own thread.
+    pub fn capture<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+        let Some(id) = &self.0 else {
+            return (f(), Vec::new());
+        };
+        let installed = SCOPE.with(|scope| {
+            let mut slot = scope.borrow_mut();
+            if slot.is_some() {
+                return false;
+            }
+            *slot = Some(JobBuf {
+                entry: id.entry.clone(),
+                shard: id.shard,
+                epoch: id.epoch,
+                job: id.job,
+                seq: 0,
+                events: Vec::new(),
+            });
+            true
+        });
+        if !installed {
+            return (f(), Vec::new());
+        }
+        struct Uninstall;
+        impl Drop for Uninstall {
+            fn drop(&mut self) {
+                SCOPE.with(|scope| scope.borrow_mut().take());
+            }
+        }
+        let guard = Uninstall;
+        let out = f();
+        let events = SCOPE.with(|scope| {
+            scope
+                .borrow_mut()
+                .as_mut()
+                .map(|b| std::mem::take(&mut b.events))
+        });
+        drop(guard);
+        (out, events.unwrap_or_default())
+    }
+}
+
+/// Appends events captured by [`JobScope::capture`] to the current job
+/// scope, renumbering their sequence numbers and span IDs into its lane.
+/// Adopting captures in a fixed order keeps the lane deterministic.
+pub fn adopt(events: Vec<Event>) {
+    with_scope(|buf| {
+        let mut ids = HashMap::new();
+        for mut e in events {
+            e.id = match e.kind {
+                Kind::Begin => {
+                    let id = span_id(buf.shard, Some(buf.job), buf.seq);
+                    ids.insert(e.id, id);
+                    id
+                }
+                Kind::End => ids.get(&e.id).copied().unwrap_or(0),
+                _ => e.id,
+            };
+            e.seq = buf.seq;
+            buf.seq += 1;
+            buf.events.push(e);
+        }
+    });
 }
 
 /// Appends events to the sink's collection and sidecar file in one
@@ -360,4 +466,46 @@ pub fn control_gauge(name: &str, value: f64, detail: &str) {
         return;
     }
     control_event(Kind::Gauge, ControlId::Zero, name, value, detail);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One test (not several): the sink is process-global.
+    #[test]
+    fn helper_thread_captures_adopt_into_the_job_lane() {
+        enable("entry", 1, None);
+        job_scope(7, || {
+            let _outer = span("job", true, "");
+            let scope = JobScope::current();
+            let captured: Vec<Vec<Event>> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            scope
+                                .capture(|| {
+                                    let _window = span("steady_window", false, "");
+                                    counter("inner", 1.0, false, "");
+                                })
+                                .1
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for events in captured {
+                assert_eq!(events.len(), 3, "begin, counter, end");
+                adopt(events);
+            }
+        });
+        let events = take_events();
+        disable();
+        assert!(events.iter().all(|e| e.job == Some(7)));
+        assert_eq!(events.len(), 2 + 2 * 3);
+        crate::validate(&events).expect("adopted events keep the lane well-formed");
+        // Outside a scope, capture runs inert.
+        let (value, events) = JobScope::current().capture(|| 3);
+        assert_eq!((value, events.len()), (3, 0));
+    }
 }

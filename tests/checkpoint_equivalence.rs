@@ -14,7 +14,9 @@
 
 use secure_bp::isolation::Mechanism;
 use secure_bp::predictors::PredictorKind;
-use secure_bp::sim::{CoreConfig, GapMode, SamplingPlan, SingleCoreSim, SmtSim, SwitchInterval};
+use secure_bp::sim::{
+    CoreConfig, GapMode, SampledSim, SamplingPlan, SingleCoreSim, SmtSim, SwitchInterval,
+};
 
 /// Every mechanism family the paper grids exercise.
 fn mechanisms() -> Vec<Mechanism> {
@@ -147,7 +149,9 @@ fn single_core_functional_gap_execution_matches_timed_per_predictor_and_mechanis
             // the plan's gap, then the same probe as the plan's window.
             let mut hybrid = fresh();
             hybrid.warm(WARM);
-            let (cycles, got) = hybrid.run_sampled_window(&plan, 0);
+            let schedule = hybrid.schedule(&plan, None);
+            let run = hybrid.run_window(&schedule, 0);
+            let (cycles, got) = (run.cycles, run.stats[0]);
             assert_eq!(
                 got, expected,
                 "{predictor:?}/{mechanism:?}: functional gap diverged from timed execution"
@@ -198,11 +202,13 @@ fn smt_functional_gap_execution_matches_timed_per_predictor_and_mechanism() {
             let expected = timed.run_measure(MEASURE);
             let mut hybrid = fresh();
             hybrid.warm(WARM);
-            let (cycles, mut per_thread) = hybrid.run_sampled_window(&plan, 0);
-            // The windowed path leaves per-thread `cycles` unset (the
-            // serial assembler stamps them from the final clocks);
-            // stamp them the same way before comparing.
-            for (stats, clock) in per_thread.iter_mut().zip(hybrid.thread_clocks()) {
+            let schedule = hybrid.schedule(&plan, None);
+            let run = hybrid.run_window(&schedule, 0);
+            let (cycles, mut per_thread) = (run.cycles, run.stats);
+            // A window run leaves per-thread `cycles` unset (the
+            // assembler stamps them from the final clocks); stamp them
+            // the same way before comparing.
+            for (stats, clock) in per_thread.iter_mut().zip(run.thread_cycles) {
                 stats.cycles = clock;
             }
             assert_eq!(

@@ -27,8 +27,7 @@ use secure_bp::campaign::{record_spec, TraceOptions};
 use secure_bp::isolation::Mechanism;
 use secure_bp::predictors::PredictorKind;
 use secure_bp::sim::{
-    CoreConfig, SampledMeasurement, SamplingPlan, SingleCoreSim, SmtSim, SwitchInterval,
-    WorkBudget,
+    CoreConfig, SampledMeasurement, SamplingPlan, SingleCoreSim, SmtSim, SwitchInterval, WorkBudget,
 };
 use secure_bp::sweep::{CaseSpec, SweepSpec};
 
