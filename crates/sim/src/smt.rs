@@ -266,7 +266,7 @@ impl SmtSim {
     /// ([`Self::try_clone`]).
     pub fn warm(&mut self, warmup_instr: u64) {
         let _span = sbp_telemetry::span("warm", false, "");
-        self.advance(warmup_instr, false);
+        self.step_until::<false, true>(warmup_instr);
     }
 
     /// The measurement phase of [`Self::run`]: resets per-thread
