@@ -195,13 +195,12 @@ pub fn finalize_telemetry(
 }
 
 /// Per-entry wall-second costs from the tracked campaign benchmark
-/// (`BENCH_8.json`, overridable via `SBP_BENCH_COSTS`): the `"sampled"`
+/// (`BENCH_8.json` in the working directory): the `"sampled"`
 /// stanza for sampling campaigns, `"exact"` otherwise. `None` (missing
 /// file, malformed JSON, absent stanza) means "no cost model" and the
 /// ETA falls back to the line-count-linear estimate.
 fn load_entry_costs(sampling: bool) -> Option<HashMap<String, f64>> {
-    let path = std::env::var("SBP_BENCH_COSTS").unwrap_or_else(|_| "BENCH_8.json".to_string());
-    let text = std::fs::read_to_string(path).ok()?;
+    let text = std::fs::read_to_string("BENCH_8.json").ok()?;
     let value = json::parse(&text).ok()?;
     let obj = value.as_object()?;
     let stanza = json::get(obj, if sampling { "sampled" } else { "exact" })

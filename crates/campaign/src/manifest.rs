@@ -78,7 +78,7 @@ pub struct Manifest {
     /// Intra-worker window-parallelism width (`"window_threads"`): with
     /// `n > 1`, each sampled cell's measurement windows fan out across
     /// `n` threads per worker. Results are bit-identical at any width;
-    /// `None` leaves the `SBP_WINDOW_THREADS` environment default.
+    /// `None` leaves the process's width (serial unless set).
     pub window_threads: Option<usize>,
     /// Record a structured telemetry timeline (`"telemetry"`): workers
     /// write sidecar `<entry>.telemetry.shard<k>of<n>.jsonl` streams and

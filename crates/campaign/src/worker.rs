@@ -60,7 +60,7 @@ pub struct WorkerArgs {
     pub gap_mode: GapMode,
     /// Intra-worker window-parallelism width (the manifest's
     /// `"window_threads"`, forwarded as `--window-threads`); `None`
-    /// leaves the `SBP_WINDOW_THREADS` environment default.
+    /// leaves the process's width (serial unless set).
     pub window_threads: Option<usize>,
     /// Print this shard's wall-time phase breakdown (warm / gaps /
     /// steady / event / exact measure), summed from the telemetry

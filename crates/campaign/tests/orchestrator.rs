@@ -488,6 +488,37 @@ fn telemetry_campaign_is_observation_only_and_its_timeline_reports() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// The in-process runner records on lane 0, whose first job span once
+/// had span id 0 and failed the report's validation.
+#[test]
+fn in_process_telemetry_timeline_reports() {
+    let dir = tmp_dir("inproc_telemetry");
+    let stores = dir.join("out");
+    let manifest = write_manifest(
+        &dir,
+        &format!(
+            r#"{{"entries":["smoke_single","smoke_attack"],"scale":0.02,"out_dir":"{}"}}"#,
+            stores.display()
+        ),
+    );
+    let run = campaign(
+        &[
+            "--in-process",
+            "--telemetry",
+            manifest.to_str().expect("utf8"),
+        ],
+        None,
+    );
+    assert!(run.status.success(), "{}", stderr_of(&run));
+    let report = campaign(&["report", stores.to_str().expect("utf8")], None);
+    assert!(report.status.success(), "{}", stderr_of(&report));
+    let report_out = stdout_of(&report);
+    for needle in ["events validated", "smoke_single", "smoke_attack"] {
+        assert!(report_out.contains(needle), "{report_out}");
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 #[test]
 fn list_mode_prints_the_whole_catalog() {
     let out = campaign(&["--list"], None);

@@ -1,20 +1,17 @@
 //! Parallel plan execution on a work-stealing thread pool.
 //!
-//! Simulation jobs run through a process-wide **warm-state checkpoint
-//! cache**: the first job of a (core, mode, predictor, mechanism, case,
-//! seed, warmup) group warms a simulator from scratch and snapshots it
-//! ([`SingleCoreSim::try_clone`]); later jobs of the same group — the
-//! other points of the interval axis — restore the snapshot and re-aim
-//! its timer (`retarget_interval`) instead of re-simulating warmup.
-//! Restores are bit-identical to uninterrupted runs, so caching is
-//! invisible in the results (and therefore in store bytes).
-//!
-//! When the spec carries a [`SamplingPlan`], jobs additionally share a
-//! **window-measurement cache**: the stratified window run is
-//! interval-independent (see [`sbp_sim::sampling`]), so one sampled run
-//! per (group, mechanism) serves every interval via the analytic
-//! estimator.
+//! Simulation jobs share work through one process-wide cache, keyed by
+//! the store's cell identity without the axes the value does not depend
+//! on, and filled only when another planned job could read the value.
+//! An exact job snapshots its warm state ([`SingleCoreSim::try_clone`]);
+//! the cell's other intervals restore it and re-aim its timer
+//! (`retarget_interval`) instead of re-simulating warmup. A sampled job
+//! keeps only its window measurement, which is interval-independent (see
+//! [`sbp_sim::sampling`]) and so serves every interval via the analytic
+//! estimator. Cached values are bit-identical to recomputed ones, so
+//! caching is invisible in the results (and therefore in store bytes).
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -31,6 +28,7 @@ use sbp_types::{PredictionStats, SbpError};
 
 use crate::plan::{Job, JobGroup, SweepPlan};
 use crate::spec::{SweepMode, SweepSpec};
+use crate::store::{sim_fingerprint, Omit};
 
 /// Per-worker scratch reused across jobs.
 ///
@@ -102,8 +100,7 @@ impl RawResult {
 }
 
 /// A simulator of the spec's core mode; also the warm-state checkpoint
-/// the cache stores (snapshotted right after warm-up, before any timer
-/// switch has fired).
+/// the cache stores for exact jobs.
 enum CellSim {
     Single(SingleCoreSim),
     Smt(SmtSim),
@@ -121,19 +118,31 @@ macro_rules! with_sim {
 }
 
 impl CellSim {
-    fn new(spec: &SweepSpec, group: &JobGroup, mechanism: Mechanism) -> Result<Self, SbpError> {
+    /// A simulator warmed from scratch, its batch buffers adopted from
+    /// the arena (hand them back with `release_buffers`).
+    fn warmed(
+        arena: &mut JobArena,
+        spec: &SweepSpec,
+        group: &JobGroup,
+        mechanism: Mechanism,
+    ) -> Result<Self, SbpError> {
         let case = &spec.cases[group.case_index];
         let workloads: Vec<&str> = case.workloads.iter().map(String::as_str).collect();
         let (core, predictor, interval, seed) =
             (spec.core, group.predictor, group.interval, group.seed);
-        Ok(match spec.mode {
+        let mut sim = match spec.mode {
             SweepMode::SingleCore => CellSim::Single(SingleCoreSim::new(
                 core, predictor, mechanism, interval, &workloads, seed,
             )?),
             SweepMode::Smt => CellSim::Smt(SmtSim::new(
                 core, predictor, mechanism, interval, &workloads, seed,
             )?),
-        })
+        };
+        with_sim!(&mut sim, s => {
+            s.adopt_buffers(&mut arena.buffers);
+            s.warm(spec.budget.warmup);
+        });
+        Ok(sim)
     }
 
     fn try_clone(&self) -> Option<Self> {
@@ -144,35 +153,22 @@ impl CellSim {
     }
 }
 
-/// Intra-worker window-parallelism width; `0` means "not yet resolved"
-/// and resolves lazily from `SBP_WINDOW_THREADS` (default 1 — serial).
-static WINDOW_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Intra-worker window-parallelism width (1 — serial — until set).
+static WINDOW_THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the intra-worker window-parallelism width for sampled jobs:
 /// with `n > 1`, the independent measurement windows of one sampled
 /// cell fan out across `n` threads (each window runs on its own clone
-/// of the shared warm checkpoint). Values below 1 clamp to 1 (serial).
+/// of the job's warm simulator). Values below 1 clamp to 1 (serial).
 /// Results are bit-identical at any width.
 pub fn set_window_threads(n: usize) {
     WINDOW_THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
 /// Current intra-worker window-parallelism width: the last
-/// [`set_window_threads`] value, else the `SBP_WINDOW_THREADS`
-/// environment variable, else 1 (serial).
+/// [`set_window_threads`] value, else 1 (serial).
 pub fn window_threads() -> usize {
-    match WINDOW_THREADS.load(Ordering::Relaxed) {
-        0 => {
-            let n = std::env::var("SBP_WINDOW_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1);
-            WINDOW_THREADS.store(n, Ordering::Relaxed);
-            n
-        }
-        n => n,
-    }
+    WINDOW_THREADS.load(Ordering::Relaxed)
 }
 
 /// Runs `f(i)` for `i in 0..n` on a pool of worker threads (one per
@@ -270,7 +266,7 @@ pub fn job_label(spec: &SweepSpec, plan: &SweepPlan, index: usize) -> String {
 ///
 /// # Errors
 ///
-/// Same as [`run_job`].
+/// Same as [`run_job_in`].
 pub fn run_job_indexed(
     arena: &mut JobArena,
     spec: &SweepSpec,
@@ -316,26 +312,16 @@ fn emit_result_events(result: &RawResult) {
     }
 }
 
-/// Executes one planned job (either payload kind). Exposed so external
-/// drivers (the campaign worker's fault-injection path) can execute a
-/// plan one job at a time; [`execute`] and `SweepSpec::run_with` remain
-/// the whole-plan entry points.
+/// Executes one planned job (either payload kind) with a caller-owned
+/// [`JobArena`]: batch event buffers are adopted from the arena before
+/// the run and released back afterwards, so a worker looping over many
+/// cells reuses the same allocations. [`execute`] and
+/// `SweepSpec::run_with` are the whole-plan entry points.
 ///
 /// # Errors
 ///
 /// Returns unknown-workload or configuration errors (sim jobs; attack
 /// jobs are infallible once planned).
-pub fn run_job(spec: &SweepSpec, plan: &SweepPlan, job: &Job) -> Result<RawResult, SbpError> {
-    run_job_in(&mut JobArena::new(), spec, plan, job)
-}
-
-/// [`run_job`] with a caller-owned [`JobArena`]: batch event buffers are
-/// adopted from the arena before the run and released back afterwards, so
-/// a worker looping over many cells reuses the same allocations.
-///
-/// # Errors
-///
-/// Same as [`run_job`].
 pub fn run_job_in(
     arena: &mut JobArena,
     spec: &SweepSpec,
@@ -389,55 +375,49 @@ pub fn run_job_in(
     Ok(RawResult::Sim(run))
 }
 
-/// Caches are bounded by wholesale clearing: eviction order must not
-/// depend on thread scheduling, and a full clear keeps refills
-/// deterministic in what they recompute (results are identical either
+/// The executor cache's bound, in entries: it is cleared wholesale when
+/// full, so eviction order never depends on thread scheduling and a
+/// refill recomputes deterministically (results are identical either
 /// way — restores are bit-identical to fresh runs).
 const CACHE_CAP: usize = 256;
 
-fn warm_cache() -> &'static Mutex<HashMap<String, CellSim>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, CellSim>>> = OnceLock::new();
+/// The executor cache, keyed by [`sim_fingerprint`]: an exact cell's warm
+/// [`CellSim`] and a sampled cell's [`SampledMeasurement`] under
+/// [`Omit::Interval`], a replay target's [`PhaseSchedule`] under
+/// [`Omit::IntervalPredictorMechanism`].
+fn cache() -> &'static Mutex<HashMap<u64, Box<dyn Any + Send>>> {
+    static CACHE: OnceLock<Mutex<HashMap<u64, Box<dyn Any + Send>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn window_cache() -> &'static Mutex<HashMap<String, SampledMeasurement>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, SampledMeasurement>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// A copy of the `T` cached under `key`.
+fn lookup<T: 'static>(key: u64, copy: impl FnOnce(&T) -> Option<T>) -> Option<T> {
+    cache().lock().get(&key)?.downcast_ref::<T>().and_then(copy)
 }
 
-fn phase_cache() -> &'static Mutex<HashMap<String, PhaseSchedule>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, PhaseSchedule>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn cache_insert<T>(map: &mut HashMap<String, T>, key: String, value: T) {
+/// Stores `value` under `key` when another planned job of `spec` could
+/// read it: jobs share a key only when they differ on an omitted axis.
+fn share<T: Any + Send>(spec: &SweepSpec, omit: Omit, key: u64, value: impl FnOnce() -> Option<T>) {
+    let readers = spec.intervals.len()
+        * match omit {
+            Omit::IntervalPredictorMechanism => {
+                spec.predictors.len() * (spec.series_mechanisms().len() + 1)
+            }
+            _ => 1,
+        };
+    let Some(value) = (readers > 1).then(value).flatten() else {
+        return;
+    };
+    let mut map = cache().lock();
     if map.len() >= CACHE_CAP {
         map.clear();
     }
-    map.insert(key, value);
+    map.insert(key, Box::new(value));
 }
 
-/// Identity of a warm-up, *excluding* the switch interval: warm-ups are
-/// interval-independent as long as no timer fired (checked before the
-/// checkpoint is stored), which is what lets one warm state serve the
-/// whole interval axis.
-fn warm_key(spec: &SweepSpec, group: &JobGroup, mechanism: Mechanism) -> String {
-    let case = &spec.cases[group.case_index];
-    format!(
-        "core={:?}|mode={}|predictor={}|workloads={}|mechanism={mechanism:?}|seed={}|warmup={}",
-        spec.core,
-        spec.mode.label(),
-        group.predictor,
-        case.workloads.join("+"),
-        group.seed,
-        spec.budget.warmup,
-    )
-}
-
-/// Returns a warmed simulator for this job and whether it came from the
-/// checkpoint cache (cache restores own their buffers and bypass the
-/// arena). Falls back to a fresh warm-up when no checkpoint fits;
-/// checkpoints are stored only when the warm-up saw no timer switch, so
+/// Returns a warmed simulator for an exact job and whether it came from
+/// the cache (cache restores own their buffers and bypass the arena).
+/// Checkpoints are stored only when the warm-up saw no timer switch, so
 /// every restore is bit-identical to a fresh run.
 fn warm(
     arena: &mut JobArena,
@@ -445,32 +425,25 @@ fn warm(
     group: &JobGroup,
     mechanism: Mechanism,
 ) -> Result<(CellSim, bool), SbpError> {
-    let key = warm_key(spec, group, mechanism);
-    if let Some(mut clone) = warm_cache().lock().get(&key).and_then(CellSim::try_clone) {
+    let key = sim_fingerprint(spec, group, mechanism, Omit::Interval);
+    if let Some(mut clone) = lookup(key, CellSim::try_clone) {
         if with_sim!(&mut clone, s => s.retarget_interval(group.interval)) {
             sbp_telemetry::counter("warm_cache_hit", 1.0, false, "");
             return Ok((clone, true));
         }
     }
     sbp_telemetry::counter("warm_cache_miss", 1.0, false, "");
-    let mut sim = CellSim::new(spec, group, mechanism)?;
-    let switches = with_sim!(&mut sim, s => {
-        s.adopt_buffers(&mut arena.buffers);
-        s.warm(spec.budget.warmup);
-        s.context_switches()
-    });
-    if switches == 0 {
-        if let Some(snapshot) = sim.try_clone() {
-            cache_insert(&mut warm_cache().lock(), key, snapshot);
-        }
+    let sim = CellSim::warmed(arena, spec, group, mechanism)?;
+    if with_sim!(&sim, s => s.context_switches()) == 0 {
+        share(spec, Omit::Interval, key, || sim.try_clone());
     }
     Ok((sim, false))
 }
 
 /// Executes a sampled simulation job: the window measurement is
 /// interval-independent, so it is shared across the interval axis
-/// through the window-measurement cache, and the per-interval estimate
-/// is produced analytically.
+/// through the cache, and the per-interval estimate is produced
+/// analytically. Its warm state is never kept: no other job reads it.
 fn run_sampled_job(
     arena: &mut JobArena,
     spec: &SweepSpec,
@@ -478,13 +451,8 @@ fn run_sampled_job(
     mechanism: Mechanism,
     sampling: &SamplingPlan,
 ) -> Result<RawResult, SbpError> {
-    let mkey = format!(
-        "{}|sampling={}",
-        warm_key(spec, group, mechanism),
-        sampling.fingerprint()
-    );
-    let cached = window_cache().lock().get(&mkey).cloned();
-    let m = match cached {
+    let key = sim_fingerprint(spec, group, mechanism, Omit::Interval);
+    let m = match lookup(key, |m: &SampledMeasurement| Some(m.clone())) {
         Some(m) => {
             sbp_telemetry::counter("window_cache_hit", 1.0, false, "");
             m
@@ -493,14 +461,12 @@ fn run_sampled_job(
             sbp_telemetry::counter("window_cache_miss", 1.0, false, "");
             let phases = match sampling.phase_windows {
                 0 => None,
-                _ => Some(phase_schedule(spec, group, sampling)?),
+                _ => Some(phase_schedule(spec, group, mechanism, sampling)?),
             };
-            let (mut sim, from_cache) = warm(arena, spec, group, mechanism)?;
+            let mut sim = CellSim::warmed(arena, spec, group, mechanism)?;
             let m = measure_windows(&mut sim, sampling, phases.as_ref(), window_threads());
-            if !from_cache {
-                with_sim!(&mut sim, s => s.release_buffers(&mut arena.buffers));
-            }
-            cache_insert(&mut window_cache().lock(), mkey, m.clone());
+            with_sim!(&mut sim, s => s.release_buffers(&mut arena.buffers));
+            share(spec, Omit::Interval, key, || Some(m.clone()));
             m
         }
     };
@@ -573,11 +539,12 @@ fn measure_windows(
 /// job (`SamplingPlan::phase_windows`). The target workload must be a
 /// `replay:<workload>@<dir>` stream — the clusterer reads the same
 /// on-disk trace the simulator replays, skipping the warm-up prefix so
-/// schedule indices line up with the warm cursor. Schedules are cached
-/// per (trace, skip, interval, k, reserve).
+/// schedule indices line up with the warm cursor. Every clusterer input
+/// (trace, skip, sampling plan) stays in the schedule's cache key.
 fn phase_schedule(
     spec: &SweepSpec,
     group: &JobGroup,
+    mechanism: Mechanism,
     sampling: &SamplingPlan,
 ) -> Result<PhaseSchedule, SbpError> {
     if spec.mode != SweepMode::SingleCore {
@@ -608,16 +575,9 @@ fn phase_schedule(
     let reserve = sampling.event_windows as u64
         * (sampling.gap + sampling.rewarm + sampling.event_window)
         + 2 * EventBuffer::DEFAULT_CAPACITY as u64;
-    let skey = format!(
-        "{}|skip={}|interval={}|k={}|reserve={}",
-        path.display(),
-        spec.budget.warmup,
-        sampling.window,
-        sampling.phase_windows,
-        reserve,
-    );
-    if let Some(s) = phase_cache().lock().get(&skey) {
-        return Ok(s.clone());
+    let key = sim_fingerprint(spec, group, mechanism, Omit::IntervalPredictorMechanism);
+    if let Some(s) = lookup(key, |s: &PhaseSchedule| Some(s.clone())) {
+        return Ok(s);
     }
     let schedule = sbp_trace::cluster_trace(
         &path,
@@ -626,7 +586,9 @@ fn phase_schedule(
         sampling.phase_windows as usize,
         reserve,
     )?;
-    cache_insert(&mut phase_cache().lock(), skey, schedule.clone());
+    share(spec, Omit::IntervalPredictorMechanism, key, || {
+        Some(schedule.clone())
+    });
     Ok(schedule)
 }
 
@@ -666,8 +628,65 @@ mod tests {
             // still-cached snapshot being retargeted mid-grid, so each
             // cell is recomputed from scratch for comparison.
             for (job, got) in plan.jobs.iter().zip(&cached) {
-                let fresh = run_job(&spec, &plan, job).expect("fresh run");
+                let fresh = run_job_in(&mut JobArena::new(), &spec, &plan, job).expect("fresh run");
                 assert_eq!(got, &fresh, "checkpoint restore diverged (smt={smt})");
+            }
+        }
+    }
+
+    /// Cache keys of every sim job in `spec`'s plan, with `omit` left out.
+    fn cache_keys(spec: &SweepSpec, omit: Omit) -> Vec<u64> {
+        let plan = crate::plan::plan(spec);
+        plan.jobs
+            .iter()
+            .filter_map(Job::sim)
+            .map(|(g, m)| sim_fingerprint(spec, &plan.groups[g], m, omit))
+            .collect()
+    }
+
+    /// A value no other planned job could read is never stored: a
+    /// single-interval grid leaves no warm state or window measurement
+    /// behind, exact or sampled, on either core mode. (Each spec draws a
+    /// master seed no other test uses, so concurrently running tests
+    /// cannot fill these keys.)
+    #[test]
+    fn single_interval_grids_leave_the_cache_empty() {
+        for smt in [false, true] {
+            for sampling in [None, Some(sbp_sim::SamplingPlan::quick_functional())] {
+                let spec = quick_spec(smt)
+                    .with_master_seed(0x5eed_0001)
+                    .with_sampling(sampling);
+                execute(&spec, &crate::plan::plan(&spec)).expect("run");
+                let map = cache().lock();
+                for key in cache_keys(&spec, Omit::Interval) {
+                    assert!(
+                        !map.contains_key(&key),
+                        "stored an unread value (smt={smt})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Sampled jobs share window measurements across the interval axis
+    /// and never snapshot warm state.
+    #[test]
+    fn sampled_grids_never_cache_warm_state() {
+        for smt in [false, true] {
+            let spec = quick_spec(smt)
+                .with_master_seed(0x5eed_0002)
+                .with_intervals(vec![
+                    sbp_sim::SwitchInterval::M8,
+                    sbp_sim::SwitchInterval::M12,
+                ])
+                .with_sampling(Some(sbp_sim::SamplingPlan::quick_functional()));
+            execute(&spec, &crate::plan::plan(&spec)).expect("run");
+            let map = cache().lock();
+            for key in cache_keys(&spec, Omit::Interval) {
+                assert!(
+                    !map.get(&key).is_some_and(|v| v.is::<CellSim>()),
+                    "a sampled job cached its warm state (smt={smt})"
+                );
             }
         }
     }
@@ -699,7 +718,7 @@ mod tests {
     }
 
     /// Window-parallel execution is an implementation detail: fanning
-    /// the sampled windows out across clones of the warm checkpoint must
+    /// the sampled windows out across clones of the warm simulator must
     /// reassemble the exact `SampledMeasurement` the serial run
     /// produces, in both gap modes and on both core modes.
     #[test]
@@ -716,9 +735,11 @@ mod tests {
                     Job::Attack(_) => unreachable!("sim plan"),
                 };
                 let mut arena = JobArena::new();
-                let (mut serial, _) = warm(&mut arena, &spec, group, mechanism).expect("warm");
+                let mut serial =
+                    CellSim::warmed(&mut arena, &spec, group, mechanism).expect("warm");
                 let want = with_sim!(&mut serial, s => s.run_sampled(&splan));
-                let (mut windowed, _) = warm(&mut arena, &spec, group, mechanism).expect("warm");
+                let mut windowed =
+                    CellSim::warmed(&mut arena, &spec, group, mechanism).expect("warm");
                 let got = measure_windows(&mut windowed, &splan, None, 3);
                 assert_eq!(got, want, "windowed (smt={smt}, {:?})", splan.gap_mode);
             }
@@ -816,7 +837,7 @@ mod tests {
         let fresh: Vec<RawResult> = plan
             .jobs
             .iter()
-            .map(|j| run_job(&spec, &plan, j).expect("run"))
+            .map(|j| run_job_in(&mut JobArena::new(), &spec, &plan, j).expect("run"))
             .collect();
         assert_eq!(pooled, fresh, "arena reuse must not change results");
     }

@@ -121,11 +121,19 @@ pub fn opt_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<Option<&'a s
     }
 }
 
-/// Parses one JSON document (rejecting trailing garbage).
+/// Deepest array/object nesting [`parse`] accepts. The workspace's own
+/// files nest a few levels; the cap turns a hostile document into an
+/// error instead of a stack overflow in the recursive descent.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document, rejecting trailing garbage and arrays or
+/// objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -137,8 +145,11 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -172,8 +183,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => {
+                self.depth += 1;
+                let value = self.object();
+                self.depth -= 1;
+                value
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let value = self.array();
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -237,48 +262,43 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or escape in one go: both
+            // are ASCII, so the run ends on a char boundary of the input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let digits = self.pos + 1..self.pos + 5;
+                    if !self
+                        .bytes
+                        .get(digits.clone())
+                        .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit))
+                    {
+                        return Err("\\u escape needs four hex digits".to_string());
+                    }
+                    let code =
+                        u32::from_str_radix(&self.text[digits], 16).map_err(|e| e.to_string())?;
+                    out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
+                    self.pos += 4;
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -327,6 +347,46 @@ mod tests {
             u64::MAX,
             "u64 integers round-trip at full precision"
         );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each unescaped character once re-validated the rest of the
+        // input: 400k characters took seconds. Multi-byte characters and
+        // escapes keep the run-copying path honest.
+        let unit = "aé\\n\\u00e9";
+        let body = unit.repeat(400_000);
+        let start = std::time::Instant::now();
+        let Value::Str(s) = parse(&format!("\"{body}\"")).expect("parse") else {
+            panic!("not a string");
+        };
+        assert_eq!(s, "aé\né".repeat(400_000));
+        assert!(start.elapsed().as_secs() < 10, "took {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Value::Str("A".into()));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
+        assert!(parse(r#""\ud800""#).is_err(), "a lone surrogate is no char");
     }
 
     #[test]

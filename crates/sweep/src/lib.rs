@@ -87,7 +87,7 @@ pub mod verdict;
 
 pub use build::{attack_cell_outcome, build_report};
 pub use exec::{
-    execute, job_label, parallel_map, parallel_map_with, run_job, run_job_in, run_job_indexed,
+    execute, job_label, parallel_map, parallel_map_with, run_job_in, run_job_indexed,
     set_window_threads, window_threads, JobArena, RawResult, RawRun,
 };
 pub use plan::{plan, AttackJob, Job, JobGroup, SweepPlan};

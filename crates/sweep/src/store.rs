@@ -26,12 +26,13 @@ use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use sbp_core::Mechanism;
 use sbp_types::report::stats_json;
 use sbp_types::{PredictionStats, SbpError};
 
 use crate::exec::{RawResult, RawRun};
 use crate::json;
-use crate::plan::{Job, SweepPlan};
+use crate::plan::{Job, JobGroup, SweepPlan};
 use crate::spec::SweepSpec;
 
 /// FNV-1a 64-bit hash (stable across platforms and processes).
@@ -53,34 +54,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub fn job_fingerprint(spec: &SweepSpec, plan: &SweepPlan, job: &Job) -> u64 {
     let identity = match job {
         Job::Sim { group, mechanism } => {
-            let g = &plan.groups[*group];
-            let case = &spec.cases[g.case_index];
-            // The full core config, not just its name: every timing
-            // parameter and the BTB geometry change the cell's result,
-            // and `with_core` accepts arbitrary field overrides.
-            //
-            // The sampling term keeps sampled and exact cells apart: an
-            // exact run contributes no term at all (so existing exact
-            // stores stay valid), while every distinct window layout
-            // fingerprints separately — a sampled estimate must never
-            // resume as, or be resumed by, an exact measurement.
-            let sampling = match &spec.sampling {
-                None => String::new(),
-                Some(plan) => format!("|sampling={}", plan.fingerprint()),
-            };
-            format!(
-                "sim|core={:?}|mode={}|predictor={}|interval={}|workloads={}|\
-                 budget={}/{}|mechanism={mechanism:?}|seed={}|scale={}{sampling}",
-                spec.core,
-                spec.mode.label(),
-                g.predictor.label(),
-                g.interval.label(),
-                case.workloads.join("+"),
-                spec.budget.warmup,
-                spec.budget.measure,
-                g.seed,
-                sbp_sim::scale(),
-            )
+            return sim_fingerprint(spec, &plan.groups[*group], *mechanism, Omit::Nothing)
         }
         // No scale term: attack campaigns never read SBP_SCALE — their
         // work is fully described by the explicit trial count — and
@@ -96,6 +70,62 @@ pub fn job_fingerprint(spec: &SweepSpec, plan: &SweepPlan, job: &Job) -> u64 {
             a.seed,
         ),
     };
+    fnv1a64(identity.as_bytes())
+}
+
+/// Axes of a simulation cell's identity that an executor cache key
+/// leaves out, because the cached value does not depend on them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Omit {
+    /// None: the store fingerprint.
+    Nothing,
+    /// Warm checkpoints and window measurements.
+    Interval,
+    /// Phase schedules, which depend only on the trace they cluster.
+    IntervalPredictorMechanism,
+}
+
+/// Fingerprint of one simulation cell with the `omit` axes written as
+/// `*`: one identity string for the store key and every cache key.
+pub(crate) fn sim_fingerprint(
+    spec: &SweepSpec,
+    group: &JobGroup,
+    mechanism: Mechanism,
+    omit: Omit,
+) -> u64 {
+    let case = &spec.cases[group.case_index];
+    let interval = match omit {
+        Omit::Nothing => group.interval.label(),
+        _ => "*",
+    };
+    let (predictor, mechanism) = match omit {
+        Omit::IntervalPredictorMechanism => ("*", "*".to_string()),
+        _ => (group.predictor.label(), format!("{mechanism:?}")),
+    };
+    // The full core config, not just its name: every timing parameter
+    // and the BTB geometry change the cell's result, and `with_core`
+    // accepts arbitrary field overrides.
+    //
+    // The sampling term keeps sampled and exact cells apart: an exact run
+    // contributes no term at all (so existing exact stores stay valid),
+    // while every distinct window layout fingerprints separately — a
+    // sampled estimate must never resume as, or be resumed by, an exact
+    // measurement.
+    let sampling = match &spec.sampling {
+        None => String::new(),
+        Some(plan) => format!("|sampling={}", plan.fingerprint()),
+    };
+    let identity = format!(
+        "sim|core={:?}|mode={}|predictor={predictor}|interval={interval}|workloads={}|\
+         budget={}/{}|mechanism={mechanism}|seed={}|scale={}{sampling}",
+        spec.core,
+        spec.mode.label(),
+        case.workloads.join("+"),
+        spec.budget.warmup,
+        spec.budget.measure,
+        group.seed,
+        sbp_sim::scale(),
+    );
     fnv1a64(identity.as_bytes())
 }
 
@@ -641,6 +671,86 @@ mod tests {
         let quick_fps = plan_fingerprints(&quick, &crate::plan::plan(&quick));
         for (a, b) in sampled_fps.iter().zip(&quick_fps) {
             assert_ne!(a, b, "different sampling plans fingerprint separately");
+        }
+    }
+
+    /// An edit to one field of a simulation job: the spec, its group
+    /// point, or its mechanism.
+    type Edit = fn(&mut SweepSpec, &mut JobGroup, &mut Mechanism);
+
+    /// Every field a simulation job's result can depend on, edited, plus
+    /// the display-only fields, tagged with the identity axis they sit
+    /// on (`""` for axes no cache key omits, `"display"` for fields no
+    /// identity reads).
+    fn job_field_edits() -> Vec<(&'static str, Edit)> {
+        use sbp_predictors::PredictorKind;
+        use sbp_sim::{SamplingPlan, SwitchInterval};
+        vec![
+            ("", |s, _, _| s.core.mispredict_penalty += 1),
+            ("", |s, _, _| s.core.ras_depth += 1),
+            ("", |s, _, _| s.mode = crate::spec::SweepMode::Smt),
+            ("", |s, _, _| s.cases[0].workloads[1] = "mcf".to_string()),
+            ("", |s, _, _| s.budget.warmup += 1),
+            ("", |s, _, _| s.budget.measure += 1),
+            ("", |s, _, _| s.sampling = Some(SamplingPlan::quick())),
+            ("", |s, _, _| {
+                s.sampling = Some(SamplingPlan::quick_functional())
+            }),
+            ("", |_, g, _| g.seed ^= 1),
+            ("predictor", |_, g, _| g.predictor = PredictorKind::TageScL),
+            ("interval", |_, g, _| g.interval = SwitchInterval::Off),
+            ("mechanism", |_, _, m| *m = Mechanism::noisy_xor_bp()),
+            ("mechanism", |_, _, m| *m = Mechanism::Baseline),
+            // The group's seed is already derived from these.
+            ("display", |s, _, _| s.name = "renamed".to_string()),
+            ("display", |s, _, _| s.cases[0].id = "other-id".to_string()),
+            ("display", |_, g, _| g.seed_index += 1),
+            ("display", |s, _, _| s.master_seed ^= 1),
+        ]
+    }
+
+    /// The property behind every executor cache key: over every single
+    /// and pairwise edit of a job's fields, the key changes exactly when
+    /// the store fingerprint does, except that an edit confined to
+    /// omitted axes changes the fingerprint and leaves the key.
+    #[test]
+    fn cache_keys_move_with_the_store_fingerprint_off_their_omitted_axes() {
+        let spec = SweepSpec::single("fp")
+            .with_cases(vec![crate::spec::CaseSpec::pair("c1", "gcc", "calculix")]);
+        let plan = crate::plan::plan(&spec);
+        let (group, mechanism) = (plan.groups[0], Mechanism::CompleteFlush);
+        let fp = |s: &SweepSpec, g: &JobGroup, m: Mechanism, omit| sim_fingerprint(s, g, m, omit);
+        let omits: [(Omit, &[&str]); 3] = [
+            (Omit::Nothing, &[]),
+            (Omit::Interval, &["interval"]),
+            (
+                Omit::IntervalPredictorMechanism,
+                &["interval", "predictor", "mechanism"],
+            ),
+        ];
+        let edits = job_field_edits();
+        let mut combos: Vec<Vec<usize>> = (0..edits.len()).map(|i| vec![i]).collect();
+        for i in 0..edits.len() {
+            combos.extend((i + 1..edits.len()).map(|j| vec![i, j]));
+        }
+        for combo in combos {
+            let (mut s, mut g, mut m) = (spec.clone(), group, mechanism);
+            for &i in &combo {
+                (edits[i].1)(&mut s, &mut g, &mut m);
+            }
+            let store_moved =
+                fp(&s, &g, m, Omit::Nothing) != fp(&spec, &group, mechanism, Omit::Nothing);
+            if let [i] = combo[..] {
+                assert_eq!(store_moved, edits[i].0 != "display", "edit {i} is vacuous");
+            }
+            for (omit, omitted) in omits {
+                let key_moved = fp(&s, &g, m, omit) != fp(&spec, &group, mechanism, omit);
+                let only_omitted = combo
+                    .iter()
+                    .all(|&i| edits[i].0 == "display" || omitted.contains(&edits[i].0));
+                let want = store_moved && !only_omitted;
+                assert_eq!(key_moved, want, "{omit:?} key under edits {combo:?}");
+            }
         }
     }
 

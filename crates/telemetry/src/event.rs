@@ -211,13 +211,15 @@ impl Event {
 /// randomness, so re-runs assign identical IDs.
 ///
 /// Layout (high to low): 12 bits of shard, 32 bits of job index
-/// (`0xFFFF_FFFF` marks the control lane), 20 bits of sequence.
+/// (`0xFFFF_FFFF` marks the control lane), 20 bits of sequence stored
+/// 1-based, so no span ID is 0 — not even the first span of job 0 on
+/// lane 0, the in-process runner's lane.
 pub fn span_id(shard: u32, job: Option<u64>, seq: u32) -> u64 {
     let job_part = match job {
         Some(j) => j & 0xFFFF_FFFF,
         None => 0xFFFF_FFFF,
     };
-    ((shard as u64 & 0xFFF) << 52) | (job_part << 20) | (seq as u64 & 0xF_FFFF)
+    ((shard as u64 & 0xFFF) << 52) | (job_part << 20) | (seq as u64 % 0xF_FFFF + 1)
 }
 
 /// Lane key: which (entry, shard, job) stream an event belongs to.
@@ -599,6 +601,11 @@ mod tests {
         assert_ne!(span_id(1, Some(0), 0), span_id(1, None, 0));
         assert_eq!(span_id(3, Some(7), 9), span_id(3, Some(7), 9));
         assert_ne!(span_id(1, None, 4), 0);
+        assert_ne!(
+            span_id(0, Some(0), 0),
+            0,
+            "the in-process runner's first span"
+        );
     }
 
     #[test]

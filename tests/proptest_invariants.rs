@@ -1,7 +1,14 @@
 //! Property-based tests over the public API: encoding bijectivity, index
-//! scrambling, table storage, trace format, and counter arithmetic.
+//! scrambling, table storage, trace format, counter arithmetic, and
+//! never-panic parsing of every untrusted text input.
+
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
+
+use secure_bp::campaign::Manifest;
+use secure_bp::sweep::{json, RawResult, RawRun, SweepStore};
 
 use secure_bp::predictors::{counter, Ras};
 use secure_bp::trace::format::{decode_trace, encode_trace};
@@ -53,6 +60,86 @@ fn any_event() -> impl Strategy<Value = TraceEvent> {
             Privilege::User
         })),
     ]
+}
+
+/// A valid manifest using every key the parser knows.
+const MANIFEST: &str = r#"{"entries":["smoke_single","fig01"],"workers":2,"seeds":3,
+"scale":0.05,"sampling":true,"gap_mode":"functional","window_threads":3,
+"telemetry":true,"out_dir":"/tmp/sbp-proptest","retries":1}"#;
+
+/// A valid document exercising the rest of the JSON grammar.
+const DOCUMENT: &str = r#"{"a":[1,2.5,-3e2,{"b":null,"c":[[],{}]}],"s":"x\"\n\u00e9/é","t":false}"#;
+
+fn store_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("sbp_proptest_{}_{name}.jsonl", std::process::id()))
+}
+
+/// The lines a store writes for one sampled sim result and one attack
+/// result.
+fn store_text() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(write_store_text)
+}
+
+fn write_store_text() -> String {
+    let path = store_path("valid");
+    let _ = std::fs::remove_file(&path);
+    let mut store = SweepStore::open(&path).expect("open");
+    let stats = secure_bp::types::PredictionStats {
+        instructions: 123_456,
+        cond_mispredicts: 789,
+        cycles: 654_321,
+        ..Default::default()
+    };
+    let sim = RawResult::Sim(RawRun {
+        cycles: 123_456.789,
+        stats,
+        per_thread: vec![stats, stats],
+        stderr: Some(431.0625),
+    });
+    let attack = RawResult::Attack(secure_bp::attack::AttackOutcome {
+        success_rate: 0.965,
+        chance: 0.005,
+        trials: 1500,
+    });
+    store.append(0x0123_4567_89ab_cdef, &sim).expect("append");
+    store
+        .append(0xffff_0000_ffff_0000, &attack)
+        .expect("append");
+    let text = std::fs::read_to_string(&path).expect("read");
+    std::fs::remove_file(&path).expect("cleanup");
+    text
+}
+
+/// Feeds `text` to every untrusted-text parser: the JSON reader, the
+/// manifest parser and the store loader (as the file's content). Each
+/// may fail; none may panic.
+fn parse_everywhere(text: &str, path: &Path) {
+    let _ = json::parse(text);
+    let _ = Manifest::parse(text);
+    std::fs::write(path, text).expect("write store");
+    let _ = SweepStore::open(path);
+    let _ = std::fs::remove_file(path);
+}
+
+/// The mutation and truncation properties start from inputs that parse.
+#[test]
+fn valid_text_inputs_parse() {
+    assert!(Manifest::parse(MANIFEST).is_ok());
+    assert!(json::parse(DOCUMENT).is_ok());
+    let path = store_path("valid_reload");
+    std::fs::write(&path, store_text()).expect("write store");
+    assert_eq!(SweepStore::open(&path).expect("store loads").len(), 2);
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// One of the valid inputs, by index.
+fn valid_input(i: usize) -> String {
+    match i % 3 {
+        0 => MANIFEST.to_string(),
+        1 => DOCUMENT.to_string(),
+        _ => store_text().to_string(),
+    }
 }
 
 proptest! {
@@ -138,6 +225,29 @@ proptest! {
         let bytes = encode_trace(&events);
         let cut = cut % (bytes.len() + 1);
         let _ = decode_trace(&bytes[..cut]);
+    }
+
+    /// A single corrupted byte of a valid manifest, JSON document or
+    /// store file makes its parser fail or succeed — never panic.
+    #[test]
+    fn text_parser_mutations_never_panic(
+        input in any::<usize>(),
+        offset in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = valid_input(input).into_bytes();
+        let at = offset % bytes.len();
+        bytes[at] = byte;
+        parse_everywhere(&String::from_utf8_lossy(&bytes), &store_path("mutated"));
+    }
+
+    /// Any prefix of a valid manifest, JSON document or store file (a
+    /// half-written file) parses or errors — never panics.
+    #[test]
+    fn text_parser_truncations_never_panic(input in any::<usize>(), cut in any::<usize>()) {
+        let bytes = valid_input(input).into_bytes();
+        let cut = cut % (bytes.len() + 1);
+        parse_everywhere(&String::from_utf8_lossy(&bytes[..cut]), &store_path("truncated"));
     }
 
     /// Unsigned saturating counters stay in range and are monotone.

@@ -154,3 +154,24 @@ fn deterministic_projection_is_invariant_across_window_threads() {
         assert_eq!(event.ts_us, 0, "timestamp survived the projection");
     }
 }
+
+/// Sampled jobs share window measurements across the interval axis and
+/// never look up or snapshot warm state: a two-interval sampled grid
+/// records window-cache events only, where the exact grid records the
+/// warm-cache ones.
+#[test]
+fn sampled_grids_record_no_warm_cache_events() {
+    let _guard = lock();
+    telemetry::disable();
+    let intervals = vec![SwitchInterval::M8, SwitchInterval::M12];
+    let counted = |spec: SweepSpec, prefix: &str| {
+        telemetry::enable("equivalence", 1, None);
+        spec.with_intervals(intervals.clone()).run().expect("run");
+        let events = telemetry::take_events();
+        telemetry::disable();
+        events.iter().filter(|e| e.name.starts_with(prefix)).count()
+    };
+    assert_eq!(counted(sampled_spec(), "warm_cache_"), 0);
+    assert_eq!(counted(sampled_spec(), "window_cache_"), 6, "one per job");
+    assert_eq!(counted(quick_spec(), "warm_cache_"), 6, "one per job");
+}
